@@ -173,7 +173,7 @@ def admits(diagram: BettiDiagram, area: ExtremalArea) -> bool:
     return all((i, j - i) in area for (i, j) in diagram.entries)
 
 
-def relex_above(V: MonomialSet, r: int, cap: int = DEFAULT_ENUMERATION_CAP) -> MonomialSet:
+def relex_above(V: MonomialSet, r: int) -> MonomialSet:
     """The unique d-linear lexsegment set W with the same max-index counts as
     V at slots >= r whose members supported on the first r - 1 variables form
     the lex prefix of size |M_{<= r-1}(V)|.
@@ -196,7 +196,7 @@ def relex_above(V: MonomialSet, r: int, cap: int = DEFAULT_ENUMERATION_CAP) -> M
     for m in W1:
         low_counts[m.max_index - 1] += 1
     entries = tuple(low_counts) + l_v.entries[r - 1:]
-    ideal = dlinear_lex_from_l(LSequence(entries, d), V.ring, cap)
+    ideal = dlinear_lex_from_l(LSequence(entries, d), V.ring)
     return MonomialSet(V.ring, d, ideal.gens)
 
 
@@ -216,11 +216,11 @@ def lex_i_a(I: MonomialIdeal, area: ExtremalArea, cap: int = DEFAULT_ENUMERATION
         raise DomainError("need a nonzero, nonunit ideal")
     if not area.is_semi_convex():
         raise DomainError("the construction needs a semi-convex area")
-    if not I.is_strongly_stable(cap):
+    if not I.is_strongly_stable():
         raise DomainError("the construction starts from a strongly stable ideal")
     if area.max_i > I.ring.num_vars - 1:
         raise DomainError(f"area reaches homological index {area.max_i}, ring allows {I.ring.num_vars - 1}")
-    diagram = ek_betti(I, cap)
+    diagram = ek_betti(I)
     if not admits(diagram, area):
         raise DomainError("the ideal does not admit the area")
     top = min(area.top_points())  # smallest homological index
@@ -251,6 +251,6 @@ def _construct_with_top(
             p_next = area.p_profile(j + 1) if j + 1 <= j_1 else -1
             if p_next + 1 > p_j:
                 raise AssertionError("semi-convex profile must step down by at most one above the top corner")
-            L = relex_above(V, p_next + 3, cap)
+            L = relex_above(V, p_next + 3)
         parts.extend(extend(m, I.ring.num_vars) for m in L)
     return MonomialIdeal(I.ring, parts)

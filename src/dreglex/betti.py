@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import DomainError
-from .ideals import MonomialIdeal
+from .ideals import MonomialIdeal, series_coefficient
 from .macaulay import binom
 from .monomials import DEFAULT_ENUMERATION_CAP
 
@@ -98,12 +98,11 @@ class BettiDiagram:
         """H(S/I, t) recovered from the diagram through the K-polynomial:
         the alternating column sums are the numerator coefficients of the
         Hilbert series over (1-t)^n."""
-        n = self.num_vars
-        total = binom(n - 1 + t, n - 1)  # the (0, 0) quotient entry
+        # the (0, 0) quotient entry, then each entry at quotient index i + 1
+        numerator = [1] + [0] * max((j for _, j in self.entries), default=0)
         for (i, j), v in self.entries.items():
-            sign = -1 if i % 2 == 0 else 1  # quotient index i+1
-            total += sign * v * binom(n - 1 + t - j, n - 1)
-        return total
+            numerator[j] += v if i % 2 else -v
+        return series_coefficient(self.num_vars, numerator, t)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -140,13 +139,13 @@ class BettiDiagram:
         return "".join(f"({i}, {j}, {v})\n" for (i, j), v in self.entries.items())
 
 
-def ek_betti(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> BettiDiagram:
+def ek_betti(I: MonomialIdeal) -> BettiDiagram:
     """Graded Betti numbers of a stable ideal:
     beta_{i,i+k}(I) = sum over degree-k generators of C(max(u)-1, i).
     Regularity equals the max generator degree."""
     if I.is_unit:
         raise DomainError("the unit ideal is outside the stable Betti formula")
-    if not I.is_stable(cap):
+    if not I.is_stable():
         raise DomainError("the generator-sum formula needs a stable ideal")
     entries: dict[tuple[int, int], int] = {}
     for g in I.gens:
@@ -158,12 +157,12 @@ def ek_betti(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> BettiDiagr
     return BettiDiagram(I.ring.num_vars, entries)
 
 
-def ahh_betti(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> BettiDiagram:
+def ahh_betti(I: MonomialIdeal) -> BettiDiagram:
     """Graded Betti numbers of a squarefree strongly stable ideal:
     beta_{i,i+k}(I) = sum over degree-k generators of C(max(u)-k, i)."""
     if I.is_unit:
         raise DomainError("the unit ideal is outside the squarefree Betti formula")
-    if not I.is_squarefree_strongly_stable(cap):
+    if not I.is_squarefree_strongly_stable():
         raise DomainError("the squarefree generator-sum formula needs a squarefree strongly stable ideal")
     entries: dict[tuple[int, int], int] = {}
     for g in I.gens:
@@ -207,7 +206,7 @@ def bigatti_degreewise(I: MonomialIdeal, i: int, k: int, cap: int = DEFAULT_ENUM
         return 0
     if I.is_zero:
         return 0
-    if not I.is_strongly_stable(cap):
+    if not I.is_strongly_stable():
         raise DomainError("the degreewise formula needs a strongly stable ideal")
     n = I.ring.num_vars
     cur = _m_le_counts(I, k, cap)
@@ -239,7 +238,7 @@ def _sq_m_le_counts(I: MonomialIdeal, k: int) -> list[int]:
     return counts
 
 
-def sq_degreewise(I: MonomialIdeal, i: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def sq_degreewise(I: MonomialIdeal, i: int, k: int) -> int:
     """The squarefree slice-count formula for beta_{i,i+k} of a squarefree
     strongly stable ideal:
 
@@ -255,7 +254,7 @@ def sq_degreewise(I: MonomialIdeal, i: int, k: int, cap: int = DEFAULT_ENUMERATI
         return 0
     if I.is_zero:
         return 0
-    if not I.is_squarefree_strongly_stable(cap):
+    if not I.is_squarefree_strongly_stable():
         raise DomainError("the squarefree degreewise formula needs a squarefree strongly stable ideal")
     n = I.ring.num_vars
     cur = _sq_m_le_counts(I, k)
@@ -273,10 +272,9 @@ def degreewise_diagram(I: MonomialIdeal, squarefree: bool = False, cap: int = DE
         return BettiDiagram(I.ring.num_vars, {})
     n = I.ring.num_vars
     entries = {}
-    formula = sq_degreewise if squarefree else bigatti_degreewise
     for k in range(1, I.max_gen_degree + 1):
         for i in range(n):
-            v = formula(I, i, k, cap)
+            v = sq_degreewise(I, i, k) if squarefree else bigatti_degreewise(I, i, k, cap)
             if v < 0:
                 raise DomainError(f"degreewise formula went negative at (i={i}, k={k}); precondition violated")
             if v:

@@ -95,12 +95,12 @@ def _cmd_hilb(args) -> int:
     I = _load_ideal(args)
     count = I.hilbert_quotient if args.quotient else I.hilbert
     if args.degree is not None:
-        value = count(args.degree, args.cap)
+        value = count(args.degree)
         print(json.dumps({"t": args.degree, "value": value}) if args.json else value)
         return 0
     if args.through is None:
         raise FormatError("hilb needs -t <degree> or --through <degree>")
-    values = tuple(count(t, args.cap) for t in range(args.through + 1))
+    values = tuple(count(t) for t in range(args.through + 1))
     role = "quotient" if args.quotient else "ideal"
     spec = HilbertSpec(I.ring.num_vars, values, role)
     if args.json:
@@ -116,9 +116,9 @@ def _cmd_betti(args) -> int:
     if method == "auto":
         D = betti_auto(I, args.cap)
     elif method == "ek":
-        D = ek_betti(I, args.cap)
+        D = ek_betti(I)
     elif method == "ahh":
-        D = ahh_betti(I, args.cap)
+        D = ahh_betti(I)
     elif method == "degreewise":
         D = degreewise_diagram(I, squarefree=False, cap=args.cap)
     elif method == "sq-degreewise":
@@ -160,7 +160,7 @@ def _cmd_phi_inv(args) -> int:
 
 
 def _cmd_phi_tilde(args) -> int:
-    _emit_ideal(phi_tilde(_load_ideal(args), args.cap), args)
+    _emit_ideal(phi_tilde(_load_ideal(args)), args)
     return 0
 
 
@@ -367,7 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("area", help="extremal-area utilities")
     p.add_argument("action", choices=["conv", "check", "rep"])
     p.add_argument("points", help='corner list "(i,j);(i,j);..."')
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_area)
 

@@ -82,7 +82,7 @@ def is_admissible_l(l: LSequence) -> bool:
     return True
 
 
-def dlinear_lex_from_l(l: LSequence, ring: GroundRing, cap: int = DEFAULT_ENUMERATION_CAP) -> MonomialIdeal:
+def dlinear_lex_from_l(l: LSequence, ring: GroundRing) -> MonomialIdeal:
     """The unique d-linear lexsegment ideal with the given counts: generated by
     the union over k of x_k * B_k, B_k the size-l_k lex prefix of degree d-1
     in the first k variables."""
@@ -228,7 +228,7 @@ def characterize_exact(H: HilbertSpec, d: int) -> Verdict:
     return characterize(H, d, exact=True)
 
 
-def dlex_from_hilbert(H: HilbertSpec, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> MonomialIdeal:
+def dlex_from_hilbert(H: HilbertSpec, d: int) -> MonomialIdeal:
     """The unique d-lexsegment ideal realizing an admissible H: plain lex
     prefixes below degree d plus the d-linear lexsegment part matching the
     recovered counts."""
@@ -247,10 +247,10 @@ def dlex_from_hilbert(H: HilbertSpec, d: int, cap: int = DEFAULT_ENUMERATION_CAP
         if size > span:
             gens.extend(lex_prefix(ring, t, size).members[span:])
         prev_size = size
-    linear = dlinear_lex_from_l(verdict.witness_l, ring, cap)
+    linear = dlinear_lex_from_l(verdict.witness_l, ring)
     J = MonomialIdeal(ring, gens) + linear
     for t in range(0, H.top + 1):
-        if J.hilbert(t, cap) != H.value(t):
+        if J.hilbert(t) != H.value(t):
             raise AssertionError(f"constructed ideal misses H({t}); construction bug or inconsistent input")
     return J
 
@@ -263,10 +263,10 @@ def regularity(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
 def betti_auto(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> BettiDiagram:
     """EK for stable ideals, the squarefree generator formula for squarefree
     strongly stable ideals, otherwise the exact Koszul oracle."""
-    if I.is_stable(cap):
-        return ek_betti(I, cap)
-    if I.is_squarefree and I.is_squarefree_strongly_stable(cap):
-        return ahh_betti(I, cap)
+    if I.is_stable():
+        return ek_betti(I)
+    if I.is_squarefree and I.is_squarefree_strongly_stable():
+        return ahh_betti(I)
     return koszul_betti(I, cap=cap)
 
 
@@ -279,9 +279,9 @@ def lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Monomi
     if r > d:
         raise DomainError(f"reg(I) = {r} exceeds d = {d}")
     n = I.ring.num_vars
-    values = tuple(I.hilbert(t, cap) for t in range(d + n))
+    values = tuple(I.hilbert(t) for t in range(d + n))
     H = HilbertSpec(n, values, "ideal")
-    return dlex_from_hilbert(H, d, cap)
+    return dlex_from_hilbert(H, d)
 
 
 def regularity_range(
@@ -300,11 +300,11 @@ def regularity_range(
         raise DomainError("need a nonzero, nonunit ideal")
     a = regularity(I, cap)
     L = lexify(I, max_degree)
-    b = ek_betti(L, cap).regularity()
+    b = ek_betti(L).regularity()
     out: dict[int, MonomialIdeal] = {}
     for r in range(a, b + 1):
         witness = lexd(I, r, cap)
-        got = ek_betti(witness, cap).regularity()
+        got = ek_betti(witness).regularity()
         if got != r:
             raise AssertionError(f"witness for r={r} has regularity {got}")
         out[r] = witness

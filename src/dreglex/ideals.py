@@ -2,20 +2,18 @@
 and truncations, structural predicates, and the two classical lexifications
 (Macaulay's Lex and Kruskal-Katona's SqLex).
 
-Hilbert counting strategy, in order of preference:
-
-1. stable ideals: the generator decomposition
-   H(I, t) = sum_u C(n - max(u) + t - deg(u), n - max(u));
-2. inclusion-exclusion over generator-subset lcms (up to 20 generators,
-   cached as a signed degree histogram);
-3. direct slice enumeration under the cap;
-otherwise the query fails with CapExceeded rather than guessing.
+Hilbert counting has one engine: the numerator N of the Hilbert series
+N(z) / (1 - z)^n of S/I, computed once per ideal by the pivot recursion
+N(S/I) = N(S/(I + (p))) + z^deg(p) N(S/(I : p)) (Bayer-Stillman 1992,
+Bigatti 1997) and read off with exact binomial sums.  It needs no enumeration
+and no cap.  The stability predicates read the minimal generators only.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable
+from operator import le
+from typing import Iterable, Sequence
 
 from .errors import CapExceeded, DomainError, FormatError, RingMismatch
 from .macaulay import binom, up
@@ -32,8 +30,6 @@ from .monomials import (
     parse_monomial,
 )
 
-IE_MAX_GENERATORS = 20
-
 
 def minimalize(ring: GroundRing, gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     """Divisibility-minimal subset of a generating set; idempotent."""
@@ -45,6 +41,62 @@ def minimalize(ring: GroundRing, gens: Iterable[Monomial]) -> tuple[Monomial, ..
         if not any(g.divides(m) for g in kept):
             kept.append(m)
     return tuple(kept)
+
+
+def series_coefficient(num_vars: int, numerator: Sequence[int], t: int) -> int:
+    """The degree-t coefficient of numerator(z) / (1 - z)^num_vars, the
+    numerator given as coefficients lowest degree first."""
+    n = num_vars
+    return sum(c * binom(n - 1 + t - k, n - 1) for k, c in enumerate(numerator[: t + 1]))
+
+
+def _numerator(gens: list[tuple[int, ...]]) -> list[int]:
+    """Hilbert-series numerator of S/I for the ideal minimally generated by
+    the exponent vectors ``gens``.
+
+    The pivot p = x_i^e takes the variable x_i dividing the most generators
+    and e its least positive exponent among them.  Then I + (p) is generated
+    by p and the generators without x_i, which p is coprime to, and I : p by
+    the generators with x_i lowered by e plus those without x_i that none of
+    the lowered ones divides.  Both sides have a smaller generator degree sum.
+    The recursion stops at pairwise coprime generators, where
+    N = prod (1 - z^deg g).  The colon side is followed in a loop, so the
+    call depth is at most the number of variables: the generators of each
+    I + (p) call avoid x_i.
+    """
+    out: list[int] = []
+    shift = 0
+    while gens:
+        counts = [sum(map(bool, column)) for column in zip(*gens)]
+        i = max(range(len(counts)), key=counts.__getitem__)
+        if counts[i] < 2:
+            break
+        e = min(g[i] for g in gens if g[i])
+        rest = [g for g in gens if not g[i]]
+        lowered = [g[:i] + (g[i] - e,) + g[i + 1:] for g in gens if g[i]]
+        _add_shifted(out, _times_one_minus(_numerator(rest), e), shift)
+        shift += e
+        gens = lowered + [h for h in rest if not any(all(map(le, r, h)) for r in lowered)]
+    base = [1]
+    for g in gens:
+        base = _times_one_minus(base, sum(g))
+    _add_shifted(out, base, shift)
+    return out
+
+
+def _times_one_minus(poly: list[int], d: int) -> list[int]:
+    """poly * (1 - z^d)."""
+    out = poly + [0] * d
+    for k, c in enumerate(poly):
+        out[k + d] -= c
+    return out
+
+
+def _add_shifted(out: list[int], poly: list[int], shift: int) -> None:
+    """out += z^shift * poly, in place."""
+    out.extend([0] * (shift + len(poly) - len(out)))
+    for k, c in enumerate(poly):
+        out[k + shift] += c
 
 
 class MonomialIdeal:
@@ -97,11 +149,7 @@ class MonomialIdeal:
         if m.num_vars != self.ring.num_vars:
             raise RingMismatch("monomial from a different ring")
         me = m.exponents
-        for g in self.gens:
-            ge = g.exponents
-            if all(a <= b for a, b in zip(ge, me)):
-                return True
-        return False
+        return any(all(map(le, g.exponents, me)) for g in self.gens)
 
     def __add__(self, other: MonomialIdeal) -> MonomialIdeal:
         if self.ring != other.ring:
@@ -131,101 +179,52 @@ class MonomialIdeal:
         candidates = enumerate_degree(self.ring, t, cap)
         return MonomialSet(self.ring, t, (m for m in candidates if self.contains(m)))
 
-    def hilbert(self, t: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+    def hilbert(self, t: int) -> int:
         """dim of the degree-t component of the ideal."""
         if t < 0:
             raise DomainError(f"negative degree {t}")
-        if self.is_zero:
-            return 0
-        if self.is_unit:
-            return count_monomials(self.ring.num_vars, t)
         n = self.ring.num_vars
-        if self._is_stable_quick():
-            return sum(
-                binom(n - g.max_index + t - g.degree, n - g.max_index) for g in self.gens
-            )
-        hist = self._ie_histogram()
-        if hist is not None:
-            return sum(c * binom(n - 1 + t - deg, n - 1) for deg, c in hist.items())
-        return len(self.degree_slice(t, cap))
+        return count_monomials(n, t) - series_coefficient(n, self.numerator(), t)
 
-    def hilbert_quotient(self, t: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+    def hilbert_quotient(self, t: int) -> int:
         """dim of the degree-t component of the quotient ring."""
-        return count_monomials(self.ring.num_vars, t) - self.hilbert(t, cap)
+        return count_monomials(self.ring.num_vars, t) - self.hilbert(t)
 
-    def _ie_histogram(self) -> dict[int, int] | None:
-        """Signed count of generator-subset lcm degrees, or None when the
-        generator count makes inclusion-exclusion unreasonable."""
-        if "ie" in self._cache:
-            return self._cache["ie"]
-        if len(self.gens) > IE_MAX_GENERATORS:
-            self._cache["ie"] = None
-            return None
-        hist: dict[int, int] = {}
-        exps = [g.exponents for g in self.gens]
-        n = self.ring.num_vars
-
-        def walk(idx: int, current: tuple[int, ...] | None, sign: int) -> None:
-            if idx == len(exps):
-                if current is not None:
-                    deg = sum(current)
-                    hist[deg] = hist.get(deg, 0) + sign
-                return
-            walk(idx + 1, current, sign)
-            g = exps[idx]
-            nxt = g if current is None else tuple(max(a, b) for a, b in zip(current, g))
-            walk(idx + 1, nxt, -sign)
-
-        walk(0, None, -1)
-        hist = {d: c for d, c in hist.items() if c}
-        self._cache["ie"] = hist
-        return hist
+    def numerator(self) -> tuple[int, ...]:
+        """Coefficients of N with Hilbert series N(z) / (1 - z)^n of S/I,
+        lowest degree first."""
+        if "numerator" not in self._cache:
+            self._cache["numerator"] = tuple(_numerator([g.exponents for g in self.gens]))
+        return self._cache["numerator"]
 
     # -- structural predicates -----------------------------------------------
+    #
+    # Each closure condition holds on all of I once it holds on the minimal
+    # generators (Herzog-Hibi, Monomial Ideals, GTM 260, ch. 7): a member is
+    # u * w with u a generator, and the exchange lands in I either through u
+    # or through w.
 
-    def _check_slices(self, closed_under, cap: int) -> bool:
-        """Degreewise closure check up to the max generator degree; the
-        closure conditions propagate to all higher degrees for monomial ideals
-        generated below, so this is sufficient."""
-        if self.is_zero:
-            return True
-        if self.is_unit:
-            return True
-        for t in range(self.min_gen_degree, self.max_gen_degree + 1):
-            members = self.degree_slice(t, cap)
-            for m in members:
-                if not closed_under(m, members):
-                    return False
-        return True
-
-    def is_stable(self, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-        """Closure under the single exchange replacing the largest variable."""
-        if "stable" in self._cache:
-            return self._cache["stable"]
-
-        def closed(m: Monomial, members: MonomialSet) -> bool:
-            q = m.max_index
-            return all(m.exchange(p, q) in members for p in range(1, q))
-
-        result = self._check_slices(closed, cap)
-        self._cache["stable"] = result
-        return result
-
-    def is_strongly_stable(self, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-        """Closure under every exchange x_q -> x_p with p < q."""
-        if "strongly_stable" in self._cache:
-            return self._cache["strongly_stable"]
-
-        def closed(m: Monomial, members: MonomialSet) -> bool:
-            return all(
-                m.exchange(p, q) in members for q in m.support for p in range(1, q)
+    def is_stable(self) -> bool:
+        """Closure under the exchanges x_p * u / x_max(u), p < max(u)."""
+        if "stable" not in self._cache:
+            self._cache["stable"] = all(
+                self.contains(u.exchange(p, u.max_index))
+                for u in self.gens
+                for p in range(1, u.max_index)
             )
+        return self._cache["stable"]
 
-        result = self._check_slices(closed, cap)
-        self._cache["strongly_stable"] = result
-        if result:
-            self._cache["stable"] = True
-        return result
+    def is_strongly_stable(self) -> bool:
+        """Closure under every exchange x_q -> x_p with p < q.  The moves
+        x_q -> x_{q-1} suffice: x_p * u / x_q is a chain of them."""
+        if "strongly_stable" not in self._cache:
+            result = all(
+                self.contains(u.exchange(q - 1, q)) for u in self.gens for q in u.support if q > 1
+            )
+            self._cache["strongly_stable"] = result
+            if result:
+                self._cache["stable"] = True
+        return self._cache["strongly_stable"]
 
     def is_lexsegment(self, through_degree: int | None = None, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
         """True iff every degree slice up to the max generator degree (or the
@@ -236,20 +235,6 @@ class MonomialIdeal:
         return all(
             is_lexsegment_set(self.degree_slice(t, cap)) for t in range(1, limit + 1)
         )
-
-    def _is_stable_quick(self) -> bool:
-        """Stability as used to pick the fast Hilbert path.  Falls back to
-        False (a slower counting path) if the check would exceed the cap; the
-        public predicate stays undecided rather than inheriting that False."""
-        if "stable" in self._cache:
-            return self._cache["stable"]
-        if self._cache.get("stable_capped"):
-            return False
-        try:
-            return self.is_stable()
-        except CapExceeded:
-            self._cache["stable_capped"] = True
-            return False
 
     # -- truncations -----------------------------------------------------------
 
@@ -286,30 +271,18 @@ class MonomialIdeal:
         out.sort(key=lambda m: m.exponents, reverse=True)
         return tuple(out)
 
-    def is_squarefree_strongly_stable(self, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
-        """Closure of the squarefree members under the squarefree exchange
-        x_q -> x_p (p < q, p outside the support), checked degreewise up to the
-        max generator degree."""
-        if "sq_strongly_stable" in self._cache:
-            return self._cache["sq_strongly_stable"]
-        result = self._sq_strongly_stable_scan()
-        self._cache["sq_strongly_stable"] = result
-        return result
-
-    def _sq_strongly_stable_scan(self) -> bool:
-        if not self.is_squarefree:
-            return False
-        if self.is_zero or self.is_unit:
-            return True
-        for t in range(self.min_gen_degree, self.max_gen_degree + 1):
-            members = set(self.squarefree_slice(t))
-            for m in members:
-                supp = set(m.support)
-                for q in supp:
-                    for p in range(1, q):
-                        if p not in supp and m.exchange(p, q) not in members:
-                            return False
-        return True
+    def is_squarefree_strongly_stable(self) -> bool:
+        """Squarefree, and closed under the squarefree exchanges x_q -> x_p
+        with p < q and x_p outside the support."""
+        if "sq_strongly_stable" not in self._cache:
+            self._cache["sq_strongly_stable"] = self.is_squarefree and all(
+                self.contains(u.exchange(p, q))
+                for u in self.gens
+                for q in u.support
+                for p in range(1, q)
+                if not u.exponents[p - 1]
+            )
+        return self._cache["sq_strongly_stable"]
 
 
 # -- lexification ---------------------------------------------------------------

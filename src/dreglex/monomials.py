@@ -62,6 +62,12 @@ class Monomial:
             raise DomainError(f"negative exponent in {exponents}")
         object.__setattr__(self, "exponents", tuple(exponents))
 
+    def __setattr__(self, *args):  # pragma: no cover - immutability guard
+        raise AttributeError("Monomial is immutable")
+
+    def __delattr__(self, *args):  # pragma: no cover - immutability guard
+        raise AttributeError("Monomial is immutable")
+
     @property
     def num_vars(self) -> int:
         return len(self.exponents)

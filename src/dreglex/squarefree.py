@@ -76,13 +76,13 @@ def phi_inv_ideal(J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(target, (phi_inv(g, target.num_vars) for g in J.gens))
 
 
-def phi_tilde(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> MonomialIdeal:
+def phi_tilde(I: MonomialIdeal) -> MonomialIdeal:
     """Spreading into the same ring, defined for strongly stable ideals whose
     Betti numbers vanish above internal degree n; equivalently every generator
     satisfies max(u) + deg(u) - 1 <= n.  Preserves all graded Betti numbers."""
     if I.is_zero:
         return I
-    if not I.is_strongly_stable(cap):
+    if not I.is_strongly_stable():
         raise DomainError("phi_tilde needs a strongly stable ideal")
     n = I.ring.num_vars
     for g in I.gens:
@@ -153,7 +153,7 @@ def _l_star_from_counts(counts: list[int], n: int, d: int) -> LStarSequence:
     return LStarSequence(tuple(entries), d)
 
 
-def sq_dlinear_from_l_star(ls: LStarSequence, ring: GroundRing, cap: int = DEFAULT_ENUMERATION_CAP) -> MonomialIdeal:
+def sq_dlinear_from_l_star(ls: LStarSequence, ring: GroundRing) -> MonomialIdeal:
     """The unique d-linear squarefree lexsegment ideal with the given counts,
     built by spreading the d-linear lexsegment ideal with the same counts."""
     d = ls.degree
@@ -162,7 +162,7 @@ def sq_dlinear_from_l_star(ls: LStarSequence, ring: GroundRing, cap: int = DEFAU
         raise DomainError(f"expected {n - d + 1} slots, got {ls.num_slots}")
     if ls.entries == (0,) * ls.num_slots:
         return MonomialIdeal.zero(ring)
-    inner = dlinear_lex_from_l(LSequence(ls.entries, d), GroundRing(n - d + 1), cap)
+    inner = dlinear_lex_from_l(LSequence(ls.entries, d), GroundRing(n - d + 1))
     return MonomialIdeal(ring, (phi(g, n) for g in inner.gens))
 
 
@@ -196,7 +196,7 @@ def sq_lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Mon
         gens.extend(m for m in prefix if m not in span)
         prev = prefix
     ls = _l_star_from_counts(counts, n, d)
-    J = MonomialIdeal(I.ring, gens) + sq_dlinear_from_l_star(ls, I.ring, cap)
+    J = MonomialIdeal(I.ring, gens) + sq_dlinear_from_l_star(ls, I.ring)
     for t in range(n + 1):
         if len(J.squarefree_slice(t)) != counts[t]:
             raise AssertionError(f"constructed ideal misses the squarefree count at degree {t}")
@@ -214,11 +214,11 @@ def sq_regularity_range(
     if I.is_zero or I.is_unit:
         raise DomainError("need a nonzero, nonunit ideal")
     a = regularity(I, cap)
-    b = ahh_betti(sq_lexify(I), cap).regularity()
+    b = ahh_betti(sq_lexify(I)).regularity()
     out: dict[int, MonomialIdeal] = {}
     for r in range(a, b + 1):
         witness = sq_lexd(I, r, cap)
-        got = ahh_betti(witness, cap).regularity()
+        got = ahh_betti(witness).regularity()
         if got != r:
             raise AssertionError(f"witness for r={r} has regularity {got}")
         out[r] = witness

@@ -2,7 +2,9 @@
 truncations, and the two classical lexifications."""
 
 import itertools
+import math
 import random
+import sys
 
 import pytest
 
@@ -16,8 +18,16 @@ from dreglex.ideals import (
     sq_lexify,
 )
 from dreglex.koszul import koszul_betti
-from dreglex.monomials import GroundRing, MonomialSet, parse_monomial, strongly_stable_closure
-from tests.conftest import random_monomial_ideal, random_strongly_stable_ideal
+from dreglex.monomials import GroundRing, Monomial, MonomialSet, parse_monomial, strongly_stable_closure
+from dreglex.squarefree import complex_from_ideal, f_vector
+from tests.conftest import (
+    random_monomial,
+    random_monomial_ideal,
+    random_sq_strongly_stable_ideal,
+    random_squarefree_ideal,
+    random_stable_ideal,
+    random_strongly_stable_ideal,
+)
 
 R2 = GroundRing(2)
 R4 = GroundRing(4)
@@ -42,6 +52,45 @@ def brute_slice(I, t):
         if any(all(g.exponents[k] <= e[k] for k in range(n)) for g in I.gens):
             out.append(e)
     return out
+
+
+def slice_scan(I, closed, members_of):
+    """The slice-scan definition of a closure predicate: every member of
+    every degree from the min to the max generator degree stays in its slice
+    under the moves ``closed`` allows."""
+    if I.is_zero or I.is_unit:
+        return True
+    for t in range(I.min_gen_degree, I.max_gen_degree + 1):
+        members = set(members_of(I, t))
+        if not all(closed(m, members) for m in members):
+            return False
+    return True
+
+
+def stable_by_slices(I):
+    return slice_scan(
+        I,
+        lambda m, S: all(m.exchange(p, m.max_index) in S for p in range(1, m.max_index)),
+        MonomialIdeal.degree_slice,
+    )
+
+
+def strongly_stable_by_slices(I):
+    return slice_scan(
+        I,
+        lambda m, S: all(m.exchange(p, q) in S for q in m.support for p in range(1, q)),
+        MonomialIdeal.degree_slice,
+    )
+
+
+def sq_strongly_stable_by_slices(I):
+    return I.is_squarefree and slice_scan(
+        I,
+        lambda m, S: all(
+            m.exchange(p, q) in S for q in m.support for p in range(1, q) if p not in m.support
+        ),
+        MonomialIdeal.squarefree_slice,
+    )
 
 
 class TestMinimalize:
@@ -92,9 +141,8 @@ class TestHilbert:
         assert MonomialIdeal.zero(R4).hilbert(3) == 0
         assert ideal(R4, "1").hilbert(2) == 10
 
-    def test_enumeration_fallback_past_ie_bound(self):
-        # 34 incomparable generators (> 20) on a non-stable ideal force the
-        # slice-enumeration path
+    def test_non_stable_with_34_generators(self):
+        # 34 incomparable generators on a non-stable ideal
         from dreglex.monomials import enumerate_degree
 
         R5 = GroundRing(5)
@@ -102,9 +150,61 @@ class TestHilbert:
         I = MonomialIdeal(R5, gens)
         assert len(I.gens) == 34
         assert not I.is_stable()
-        assert I._ie_histogram() is None
         assert I.hilbert(3) == 34
         assert I.hilbert(4) == 69  # every quartic except x1^4
+
+    def test_matches_enumeration_past_twenty_generators(self):
+        rng = random.Random(37)
+        largest = 0
+        for _ in range(25):
+            n, d = rng.randint(4, 5), rng.randint(3, 4)
+            gens = [random_monomial(rng, n, d) for _ in range(rng.randint(20, 60))]
+            gens += [random_monomial(rng, n, d - 1) for _ in range(rng.randint(0, 2))]
+            I = MonomialIdeal(GroundRing(n), gens)
+            largest = max(largest, len(I.gens))
+            for t in range(0, 6):
+                assert I.hilbert(t) == len(brute_slice(I, t))
+        assert largest > 20
+
+    def test_numerator_is_koszul_k_polynomial(self):
+        """The numerator of S/I equals the K-polynomial of the oracle's
+        Betti diagram, coefficient by coefficient."""
+        rng = random.Random(41)
+        for _ in range(30):
+            I = random_monomial_ideal(rng, rng.randint(2, 5), 3, count=rng.randint(2, 6))
+            D = koszul_betti(I)
+            k_poly = [0] * (1 + max((j for _, j in D.entries), default=0))
+            k_poly[0] = 1
+            for (i, j), v in D.entries.items():
+                k_poly[j] += v if i % 2 else -v
+            numerator = list(I.numerator())
+            width = max(len(k_poly), len(numerator))
+            assert numerator + [0] * (width - len(numerator)) == k_poly + [0] * (width - len(k_poly))
+            for t in range(0, 8):
+                assert I.hilbert_quotient(t) == D.hilbert_quotient(t)
+
+    def test_edge_ideal_past_the_enumeration_cap(self):
+        # 21 edges in 8 variables; degree 21 has 1 184 040 monomials, more
+        # than the default enumeration cap, and needs no enumeration here
+        R8 = GroundRing(8)
+        edges = "12 13 14 16 17 23 24 25 26 27 28 36 37 38 46 47 48 56 67 68 78".split()
+        I = ideal(R8, *(f"x{a}*x{b}" for a, b in edges))
+        assert len(I.gens) == 21
+        with pytest.raises(CapExceeded):
+            I.degree_slice(21)
+        # H(S/I, t) = sum_i f_i C(t - 1, i) over the Stanley-Reisner complex
+        f = f_vector(complex_from_ideal(I))
+        quotient = sum(fi * math.comb(20, i) for i, fi in enumerate(f))
+        assert I.hilbert_quotient(21) == quotient
+        assert I.hilbert(21) == math.comb(28, 7) - quotient
+
+    def test_staircase_deeper_than_the_recursion_limit(self):
+        # every monomial of degree N in two variables: N pivot steps deep
+        N = sys.getrecursionlimit() + 100
+        I = MonomialIdeal(R2, [Monomial((k, N - k)) for k in range(N + 1)])
+        assert I.hilbert(N - 1) == 0
+        assert I.hilbert(N) == N + 1
+        assert I.hilbert(N + 5) == N + 6
 
     def test_quotient(self):
         I = ideal(R4, "x1*x2", "x3*x4")
@@ -142,6 +242,29 @@ class TestPredicates:
     def test_squarefree(self):
         assert ideal(R4, "x1*x2", "x3*x4").is_squarefree
         assert not ideal(R4, "x1^2").is_squarefree
+
+    def test_generator_checks_match_slice_scans(self):
+        rng = random.Random(43)
+        seen = {"stable": set(), "strongly_stable": set(), "sq": set()}
+        for _ in range(150):
+            n = rng.randint(2, 5)
+            I = rng.choice([
+                lambda: random_monomial_ideal(rng, n, 3),
+                lambda: random_stable_ideal(rng, n, 3),
+                lambda: random_strongly_stable_ideal(rng, n, 3),
+                lambda: random_squarefree_ideal(rng, n, 3),
+                lambda: random_sq_strongly_stable_ideal(rng, n, 3),
+            ])()
+            for key, by_gens, by_slices in (
+                ("stable", I.is_stable, stable_by_slices),
+                ("strongly_stable", I.is_strongly_stable, strongly_stable_by_slices),
+                ("sq", I.is_squarefree_strongly_stable, sq_strongly_stable_by_slices),
+            ):
+                verdict = by_gens()
+                assert verdict == by_slices(I), (key, I)
+                seen[key].add(verdict)
+        # both verdicts occur for each predicate
+        assert all(v == {True, False} for v in seen.values())
 
 
 class TestTruncations:

@@ -107,6 +107,18 @@ class TestMonomialBasics:
         with pytest.raises(FormatError):
             parse_monomial("", R4)
 
+    def test_immutable(self):
+        m = parse_monomial("x1^2*x3", R3)
+        before = hash(m)
+        members = {m}
+        with pytest.raises(AttributeError):
+            m.exponents = (5, 0, 0)
+        with pytest.raises(AttributeError):
+            del m.exponents
+        assert m.exponents == (2, 0, 1)
+        assert hash(m) == before
+        assert m in members
+
 
 class TestEnumerationAndPrefix:
     def test_degree_two_in_two_vars(self):
