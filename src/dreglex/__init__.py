@@ -54,7 +54,7 @@ from .ideals import (
     parse_ideal,
     sq_lexify,
 )
-from .koszul import RankWindow, koszul_betti
+from .koszul import koszul_betti
 from .macaulay import (
     HilbertSpec,
     MacaulayRep,

@@ -58,6 +58,8 @@ class ExtremalArea:
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("ExtremalArea is immutable")
 
+    __delattr__ = __setattr__
+
     @property
     def standard_representation(self) -> tuple[tuple[int, int], ...]:
         """Extremal points, ascending i and descending j."""

@@ -40,6 +40,8 @@ class BettiDiagram:
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("BettiDiagram is immutable")
 
+    __delattr__ = __setattr__
+
     @property
     def is_zero(self) -> bool:
         return not self.entries

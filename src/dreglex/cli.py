@@ -124,7 +124,7 @@ def _cmd_betti(args) -> int:
     elif method == "sq-degreewise":
         D = degreewise_diagram(I, squarefree=True, cap=args.cap)
     else:
-        D = koszul_betti(I, jobs=args.jobs, cap=args.cap)
+        D = koszul_betti(I, cap=args.cap)
     _emit_diagram(D, args)
     return 0
 
@@ -301,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         "cheapest valid closed form else the oracle",
     )
     p.add_argument("--triples", action="store_true", help="one (i, j, value) per line")
-    p.add_argument("--jobs", type=int, default=1, help="parallel strands for the Koszul oracle")
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("lex", help="the lexsegment ideal with the same Hilbert function")

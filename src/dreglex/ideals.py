@@ -117,6 +117,8 @@ class MonomialIdeal:
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("MonomialIdeal is immutable")
 
+    __delattr__ = __setattr__
+
     @classmethod
     def zero(cls, ring: GroundRing) -> MonomialIdeal:
         return cls(ring)

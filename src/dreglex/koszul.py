@@ -1,41 +1,28 @@
-"""Exact graded Betti numbers for arbitrary monomial ideals, computed as
-homology ranks of the Koszul complex tensored with the quotient ring.
+"""Exact graded Betti numbers of monomial ideals from Koszul homology, over
+the lcm lattice only.
 
-The differential preserves multidegrees, so every internal-degree strand is
-block-diagonal over multidegrees: the block at multidegree a has basis
-{ e_F : F subset of supp(a), x^(a - e_F) outside I } in homological index |F|,
-with d(e_F) = sum of signed faces that stay standard.  Ranks are computed
-over the integers with fraction-free elimination; no floating point, no
-modular shortcuts.
+The Koszul complex of S/I is block-diagonal over multidegrees: the block at a
+has basis { e_F : F subset of supp(a), x^(a - e_F) outside I } in homological
+index |F|, with d(e_F) = sum of signed faces that stay standard.  Ranks are
+exact (fraction-free integer elimination, no floating point or modular step).
 
-Two traversal modes are provided:
-
-* "lcm" (default): only multidegrees in the lcm lattice of the generators
-  are visited; all other blocks are exact (their Betti contribution is zero),
-  so this is a lossless restriction.
-* "all": every multidegree of every internal degree inside the window is
-  visited, with the window auto-extended until a fully-zero trailing band of
-  width n is observed.  This mode is the slow, assumption-free cross-check.
+The faces F with x^(a - e_F) in I form the upper Koszul simplicial complex
+K^a(I), whose reduced homology gives the Betti numbers at a (Miller-Sturmfels,
+Combinatorial Commutative Algebra, Thm 1.34).  Off the lcm lattice some support
+position is slack for every generator dividing x^a, so K^a(I) is a cone and the
+block is exact; visiting the lattice alone is lossless.  The same slack masks
+decide standardness: x^(a - e_F) lies in I iff F is a subset of
+{k : g_k < a_k} for some generator g dividing x^a.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+import operator
 
 from .betti import BettiDiagram
 from .errors import CapExceeded, DomainError
 from .ideals import MonomialIdeal
-from .monomials import DEFAULT_ENUMERATION_CAP, count_monomials
-
-
-@dataclass(frozen=True)
-class RankWindow:
-    """Bounds for the (homological, internal) degree window of the scan."""
-
-    max_homological: int | None = None
-    max_internal: int | None = None
-    auto_extend: bool = True
+from .monomials import DEFAULT_ENUMERATION_CAP
 
 
 def exact_rank(rows: list[list[int]]) -> int:
@@ -76,18 +63,14 @@ def _block_betti(gens: tuple[tuple[int, ...], ...], a: tuple[int, ...]) -> dict[
     """
     supp = [k for k, e in enumerate(a) if e]
     s = len(supp)
-
-    def standard(mask: int) -> bool:
-        e = list(a)
-        for pos in range(s):
-            if mask >> pos & 1:
-                e[supp[pos]] -= 1
-        for g in gens:
-            if all(gv <= ev for gv, ev in zip(g, e)):
-                return False
-        return True
-
-    std = [standard(mask) for mask in range(1 << s)]
+    # bit pos of slack(g) is set iff g leaves room at supp[pos]; a face mask
+    # is non-standard iff it is a submask of some generator's slack mask
+    slacks = [
+        sum(1 << pos for pos, k in enumerate(supp) if g[k] < a[k])
+        for g in gens
+        if all(map(operator.le, g, a))
+    ]
+    std = [all(mask & ~sl for sl in slacks) for mask in range(1 << s)]
     bases: list[list[int]] = [[] for _ in range(s + 1)]
     for mask in range(1 << s):
         if std[mask]:
@@ -126,17 +109,6 @@ def _block_betti(gens: tuple[tuple[int, ...], ...], a: tuple[int, ...]) -> dict[
     return out
 
 
-def _process_chunk(args: tuple[tuple[tuple[int, ...], ...], list[tuple[int, ...]]]) -> dict[tuple[int, int], int]:
-    gens, degrees = args
-    acc: dict[tuple[int, int], int] = {}
-    for a in degrees:
-        j = sum(a)
-        for i, v in _block_betti(gens, a).items():
-            key = (i, j)
-            acc[key] = acc.get(key, 0) + v
-    return acc
-
-
 def _lcm_lattice(gens: tuple[tuple[int, ...], ...], cap: int) -> list[tuple[int, ...]]:
     lattice = {tuple(0 for _ in gens[0])}
     for g in gens:
@@ -146,85 +118,22 @@ def _lcm_lattice(gens: tuple[tuple[int, ...], ...], cap: int) -> list[tuple[int,
     return sorted(lattice, key=lambda a: (sum(a), a))
 
 
-def koszul_betti(
-    I: MonomialIdeal,
-    window: RankWindow | None = None,
-    jobs: int = 1,
-    mode: str = "lcm",
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> BettiDiagram:
+def koszul_betti(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> BettiDiagram:
     """Graded Betti numbers of I from Koszul homology, ideal-indexed
-    (beta_{i,j}(I) = beta_{i+1,j}(S/I))."""
+    (beta_{i,j}(I) = beta_{i+1,j}(S/I)).  Raises CapExceeded when the lcm
+    lattice has more than `cap` points."""
     if I.is_unit:
         raise DomainError("the unit ideal has no proper minimal resolution here")
     if I.is_zero:
         return BettiDiagram(I.ring.num_vars, {})
-    if mode not in ("lcm", "all"):
-        raise DomainError(f"unknown traversal mode {mode!r}")
-    window = window or RankWindow()
-    n = I.ring.num_vars
     gens = tuple(g.exponents for g in I.gens)
-
-    if mode == "lcm":
-        degrees = [a for a in _lcm_lattice(gens, cap) if sum(a) > 0]
-        quotient = _scan(gens, degrees, jobs)
-    else:
-        quotient = _scan_all(I, gens, window, jobs, cap)
-
     entries: dict[tuple[int, int], int] = {}
-    for (i, j), v in quotient.items():
-        if i == 0:
-            raise AssertionError(f"unexpected homology at homological index 0, degree {j}")
-        entries[(i - 1, j)] = v
-    if not window.auto_extend:
-        max_hom = window.max_homological if window.max_homological is not None else n
-        max_int = window.max_internal if window.max_internal is not None else (I.max_gen_degree + n)
-        if any(i > max_hom or j > max_int for (i, j) in entries):
-            raise DomainError("window too small: Betti support exceeds it and auto-extension is off")
-    return BettiDiagram(n, entries)
-
-
-def _scan(gens, degrees, jobs: int) -> dict[tuple[int, int], int]:
-    if jobs <= 1 or len(degrees) < 8:
-        return _process_chunk((gens, list(degrees)))
-    chunks = [list(degrees[k::jobs]) for k in range(jobs)]
-    acc: dict[tuple[int, int], int] = {}
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for part in pool.map(_process_chunk, [(gens, ch) for ch in chunks]):
-            for key, v in part.items():
-                acc[key] = acc.get(key, 0) + v
-    return acc
-
-
-def _scan_all(I: MonomialIdeal, gens, window: RankWindow, jobs: int, cap: int) -> dict[tuple[int, int], int]:
-    n = I.ring.num_vars
-    limit = window.max_internal if window.max_internal is not None else I.max_gen_degree + n
-    hard_stop = sum(max(g[k] for g in gens) for k in range(n)) + n  # past the lcm of all generators plus a band
-    acc: dict[tuple[int, int], int] = {}
-    j = 1
-    while True:
-        if count_monomials(n, j) > cap:
-            raise CapExceeded(f"internal degree {j} has too many multidegrees for the exhaustive scan")
-        degrees = [a for a in _compositions(j, n)]
-        for key, v in _scan(gens, degrees, jobs).items():
-            acc[key] = acc.get(key, 0) + v
-        if j >= limit:
-            band = range(limit - n + 1, limit + 1)
-            if not any(jj in band for (_, jj) in acc):
-                break
-            if not window.auto_extend:
-                raise DomainError("window too small: nonzero Betti numbers in the trailing band")
-            if limit >= hard_stop:
-                break
-            limit += 1
-        j += 1
-    return acc
-
-
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    for a in _lcm_lattice(gens, cap):
+        j = sum(a)
+        if not j:
+            continue
+        for i, v in _block_betti(gens, a).items():
+            if i == 0:
+                raise AssertionError(f"unexpected homology at homological index 0, degree {j}")
+            entries[(i - 1, j)] = entries.get((i - 1, j), 0) + v
+    return BettiDiagram(I.ring.num_vars, entries)

@@ -65,8 +65,7 @@ class Monomial:
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("Monomial is immutable")
 
-    def __delattr__(self, *args):  # pragma: no cover - immutability guard
-        raise AttributeError("Monomial is immutable")
+    __delattr__ = __setattr__
 
     @property
     def num_vars(self) -> int:
@@ -213,6 +212,8 @@ class MonomialSet:
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("MonomialSet is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def members(self) -> tuple[Monomial, ...]:

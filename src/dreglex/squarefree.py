@@ -251,6 +251,8 @@ class SimplicialComplex:
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("SimplicialComplex is immutable")
 
+    __delattr__ = __setattr__
+
     @property
     def is_void(self) -> bool:
         return not self.facets

@@ -57,11 +57,6 @@ class TestBetti:
         assert code == 1
         assert "error" in err
 
-    def test_jobs_deterministic(self, capsys, section5):
-        _, a, _ = run(capsys, "betti", "--method", "koszul", section5)
-        _, b, _ = run(capsys, "betti", "--method", "koszul", "--jobs", "2", section5)
-        assert a == b
-
     def test_auto_picks_squarefree_formula(self, capsys):
         gens = "x1*x2*x3,x1*x2*x4,x1*x3*x4,x2*x3*x4"
         _, auto, _ = run(capsys, "betti", "--method", "auto", "--gens", gens, "-n", "4")

@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dreglex.areas import ExtremalArea
+from dreglex.betti import BettiDiagram
 from dreglex.errors import DegreeMismatch, DomainError, FormatError, RingMismatch
+from dreglex.ideals import MonomialIdeal
 from dreglex.monomials import (
     GroundRing,
     MonomialSet,
@@ -22,6 +25,7 @@ from dreglex.monomials import (
     parse_monomial,
     strongly_stable_closure,
 )
+from dreglex.squarefree import SimplicialComplex
 from tests.conftest import random_strongly_stable_set
 
 R3 = GroundRing(3)
@@ -118,6 +122,28 @@ class TestMonomialBasics:
         assert m.exponents == (2, 0, 1)
         assert hash(m) == before
         assert m in members
+
+
+@pytest.mark.parametrize(
+    "make, attr",
+    [
+        (lambda: parse_monomial("x1^2*x3", R3), "exponents"),
+        (lambda: MonomialSet(R3, 2, [parse_monomial("x1^2", R3)]), "_members"),
+        (lambda: MonomialIdeal(R3, [parse_monomial("x1*x2", R3)]), "gens"),
+        (lambda: BettiDiagram(3, {(0, 2): 1}), "entries"),
+        (lambda: ExtremalArea([(1, 3)]), "corners"),
+        (lambda: SimplicialComplex(3, [{1, 2}]), "facets"),
+    ],
+    ids=["Monomial", "MonomialSet", "MonomialIdeal", "BettiDiagram", "ExtremalArea", "SimplicialComplex"],
+)
+def test_value_types_reject_assignment_and_deletion(make, attr):
+    obj = make()
+    before = getattr(obj, attr)
+    with pytest.raises(AttributeError):
+        setattr(obj, attr, None)
+    with pytest.raises(AttributeError):
+        delattr(obj, attr)
+    assert getattr(obj, attr) == before
 
 
 class TestEnumerationAndPrefix:
