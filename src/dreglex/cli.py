@@ -8,6 +8,7 @@ message on stderr), 2 I/O or format error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -384,9 +385,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main() call; parse_args returns a fresh namespace
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except FormatError as exc:

@@ -11,17 +11,20 @@ from fractions import Fraction
 
 from .betti import BettiDiagram, ahh_betti, ek_betti
 from .errors import DomainError
-from .ideals import MonomialIdeal, lexify
+from .ideals import MonomialIdeal, lex_layers, lexify
 from .koszul import koszul_betti
 from .macaulay import HilbertSpec, binom, is_m_vector, up
 from .monomials import (
     DEFAULT_ENUMERATION_CAP,
     GroundRing,
     MonomialSet,
+    count_monomials,
     dk_decompose,
     is_lexsegment_set,
     is_strongly_stable,
     lex_prefix,
+    lex_range,
+    lex_rank,
 )
 
 
@@ -91,14 +94,11 @@ def dlinear_lex_from_l(l: LSequence, ring: GroundRing) -> MonomialIdeal:
     if not is_admissible_l(l):
         raise DomainError(f"{l.entries} is not realizable in degree {l.degree}")
     d = l.degree
-    gens = []
-    for k in range(1, ring.num_vars + 1):
-        size = l.entries[k - 1]
-        if size > binom(k + d - 2, d - 1):
-            raise DomainError(f"slot {k} asks for {size} monomials of degree {d - 1} in {k} variables")
-        for b in lex_prefix(ring, d - 1, size, max_var=k):
-            gens.append(b.times_var(k))
-    return MonomialIdeal(ring, gens)
+    return MonomialIdeal(ring, (
+        b.times_var(k)
+        for k, size in enumerate(l.entries, start=1)
+        for b in lex_prefix(ring, d - 1, size, max_var=k)
+    ))
 
 
 def is_dlinear_lex(V: MonomialSet) -> bool:
@@ -231,24 +231,23 @@ def characterize_exact(H: HilbertSpec, d: int) -> Verdict:
 def dlex_from_hilbert(H: HilbertSpec, d: int) -> MonomialIdeal:
     """The unique d-lexsegment ideal realizing an admissible H: plain lex
     prefixes below degree d plus the d-linear lexsegment part matching the
-    recovered counts."""
+    recovered counts l.  A stable set's span holds x_k * b with
+    max(x_k * b) = k iff it holds b, so the degree-d generators with largest
+    variable x_k are x_k times the size-l_k lex prefix in x1..xk less the c_k
+    members of the degree-(d-1) slice there: c_k is the rank in x1..xk of
+    the first monomial past that slice, the lex prefix of size H(d-1)."""
     verdict = characterize(H, d)
     if not verdict.admissible:
         raise DomainError(f"H is not the Hilbert function of a {d}-regular ideal: condition {verdict.failed_condition}")
     ring = GroundRing(H.num_vars)
-    n = H.num_vars
-    gens = []
-    prev_size = 0
-    for t in range(1, d):
-        size = H.value(t)
-        span = up(prev_size, n - 1)
-        if span > size:
-            raise DomainError(f"H violates Macaulay growth between degrees {t - 1} and {t}")
-        if size > span:
-            gens.extend(lex_prefix(ring, t, size).members[span:])
-        prev_size = size
-    linear = dlinear_lex_from_l(verdict.witness_l, ring)
-    J = MonomialIdeal(ring, gens) + linear
+    gens = [m for new in lex_layers(ring, H.values[1:d]) for m in new]
+    a = H.value(d - 1)
+    past = lex_range(ring, d - 1, a, min(a + 1, count_monomials(ring.num_vars, d - 1))).members
+    for k, size in enumerate(verdict.witness_l.entries, start=1):
+        c = lex_rank(past[0], k) if past else count_monomials(k, d - 1)
+        # c > size: no d-lex ideal has these counts; J then exceeds H(d) and fails below
+        gens.extend(b.times_var(k) for b in lex_range(ring, d - 1, min(c, size), size, max_var=k))
+    J = MonomialIdeal(ring, gens)
     for t in range(0, H.top + 1):
         if J.hilbert(t) != H.value(t):
             raise AssertionError(f"constructed ideal misses H({t}); construction bug or inconsistent input")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from operator import le
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import CapExceeded, DomainError, FormatError, RingMismatch
 from .macaulay import binom, up
@@ -25,8 +25,7 @@ from .monomials import (
     count_monomials,
     enumerate_degree,
     format_monomial,
-    is_lexsegment_set,
-    lex_prefix,
+    lex_range,
     parse_monomial,
 )
 
@@ -38,7 +37,8 @@ def minimalize(ring: GroundRing, gens: Iterable[Monomial]) -> tuple[Monomial, ..
     for m in unique:
         if m.num_vars != ring.num_vars:
             raise RingMismatch(f"generator over {m.num_vars} variables in ring with {ring.num_vars}")
-        if not any(g.divides(m) for g in kept):
+        me = m.exponents
+        if not any(all(map(le, g.exponents, me)) for g in kept):
             kept.append(m)
     return tuple(kept)
 
@@ -228,14 +228,18 @@ class MonomialIdeal:
                 self._cache["stable"] = True
         return self._cache["strongly_stable"]
 
-    def is_lexsegment(self, through_degree: int | None = None, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+    def is_lexsegment(self, through_degree: int | None = None) -> bool:
         """True iff every degree slice up to the max generator degree (or the
-        supplied degree) is an initial lex segment."""
+        supplied degree) is an initial lex segment; by induction on the
+        degree, iff each degree's generators are those of the lexsegment
+        ideal with I's Hilbert function."""
         if self.is_zero or self.is_unit:
             return True
         limit = self.max_gen_degree if through_degree is None else through_degree
+        layers = lex_layers(self.ring, map(self.hilbert, range(1, limit + 1)))
         return all(
-            is_lexsegment_set(self.degree_slice(t, cap)) for t in range(1, limit + 1)
+            new == tuple(g for g in self.gens if g.degree == t)
+            for t, new in enumerate(layers, start=1)
         )
 
     # -- truncations -----------------------------------------------------------
@@ -290,35 +294,39 @@ class MonomialIdeal:
 # -- lexification ---------------------------------------------------------------
 
 
+def lex_layers(ring: GroundRing, sizes: Iterable[int]) -> Iterator[tuple[Monomial, ...]]:
+    """The generators, degree t = 1, 2, ... in turn, of the lexsegment ideal
+    whose degree-t slice has size ``sizes[t - 1]``: the lex range from the
+    span of the previous slice, the lex prefix of size up(previous size,
+    n - 1), to that size."""
+    prev = 0
+    for t, size in enumerate(sizes, start=1):
+        span = up(prev, ring.num_vars - 1)
+        if span > size:
+            raise DomainError(f"Hilbert data violates Macaulay growth at degree {t}")
+        yield lex_range(ring, t, span, size).members
+        prev = size
+
+
 def lexify(I: MonomialIdeal, max_degree: int = 64) -> MonomialIdeal:
     """The unique lexsegment ideal with the Hilbert function of I.
 
-    Built degree by degree: the degree-t slice is the lex prefix of size
-    H(I, t), and new generators are the part of that prefix past the span of
-    the previous slice (for a lex prefix of size a the span has size exactly
-    up(a, n-1)).  Iteration stops at the first degree at or past the max
-    generator degree of I whose next slice adds no generators; Gotzmann
-    persistence then rules out generators in any higher degree.
+    Built degree by degree by ``lex_layers`` from H(I, t).  Iteration stops
+    at the first degree past the max generator degree of I that adds no
+    generators; Gotzmann persistence then rules out generators in any
+    higher degree.
     """
     if I.is_unit:
         raise DomainError("the unit ideal has no lexsegment companion here")
     if I.is_zero:
         return I
-    n = I.ring.num_vars
     g = I.max_gen_degree
     gens: list[Monomial] = []
-    prev_size = 0
-    for t in range(1, max_degree + 1):
-        size = I.hilbert(t)
-        span = up(prev_size, n - 1)
-        if span > size:
-            raise DomainError(f"Hilbert data of {I!r} violates Macaulay growth at degree {t}")
-        if size > span:
-            prefix = lex_prefix(I.ring, t, size)
-            gens.extend(prefix.members[span:])
-        prev_size = size
-        if t >= g and I.hilbert(t + 1) == up(size, n - 1):
+    sizes = map(I.hilbert, range(1, max_degree + 2))
+    for t, new in enumerate(lex_layers(I.ring, sizes), start=1):
+        if t > g and not new:
             return MonomialIdeal(I.ring, gens)
+        gens.extend(new)
     raise CapExceeded(
         f"lexsegment ideal not stabilized by degree {max_degree} "
         f"(partial result has generators through degree {gens[-1].degree if gens else 0})"
@@ -341,6 +349,21 @@ def sq_prefix(ring: GroundRing, degree: int, size: int) -> tuple[Monomial, ...]:
     return tuple(out)
 
 
+def sq_lex_generators(ring: GroundRing, sizes: Iterable[int]) -> Iterator[Monomial]:
+    """The generators of the squarefree lexsegment ideal whose degree-t
+    squarefree slice has size ``sizes[t - 1]``, t = 1, 2, ...: each squarefree
+    lex prefix past the span of the previous one."""
+    n = ring.num_vars
+    prev: tuple[Monomial, ...] = ()
+    for t, size in enumerate(sizes, start=1):
+        span = {m.times_var(i) for m in prev for i in range(1, n + 1) if not m.exponents[i - 1]}
+        prefix = sq_prefix(ring, t, size)
+        if not span.issubset(prefix):
+            raise DomainError(f"squarefree counts violate Kruskal-Katona growth at degree {t}")
+        yield from (m for m in prefix if m not in span)
+        prev = prefix
+
+
 def sq_lexify(I: MonomialIdeal) -> MonomialIdeal:
     """The unique squarefree lexsegment ideal with the Hilbert function of I
     (Kruskal-Katona).  Matches the squarefree member count of I degree by
@@ -349,24 +372,8 @@ def sq_lexify(I: MonomialIdeal) -> MonomialIdeal:
         raise DomainError("sq_lexify needs a squarefree monomial ideal")
     if I.is_zero or I.is_unit:
         return I
-    n = I.ring.num_vars
-    gens: list[Monomial] = []
-    prev: tuple[Monomial, ...] = ()
-    for t in range(1, n + 1):
-        size = len(I.squarefree_slice(t))
-        span = set()
-        for m in prev:
-            for i in range(1, n + 1):
-                if m.exponents[i - 1] == 0:
-                    span.add(m.times_var(i))
-        if len(span) > size:
-            raise DomainError(f"squarefree counts of {I!r} violate Kruskal-Katona growth at degree {t}")
-        prefix = sq_prefix(I.ring, t, size)
-        if not span.issubset(prefix):
-            raise DomainError(f"squarefree span is not a lex prefix at degree {t}; input data inconsistent")
-        gens.extend(m for m in prefix if m not in span)
-        prev = prefix
-    return MonomialIdeal(I.ring, gens)
+    sizes = (len(I.squarefree_slice(t)) for t in range(1, I.ring.num_vars + 1))
+    return MonomialIdeal(I.ring, sq_lex_generators(I.ring, sizes))
 
 
 # -- text format ------------------------------------------------------------------

@@ -8,11 +8,14 @@ Conventions, fixed once and used everywhere:
 * ``max_index(1) = 0`` for the unit monomial;
 * canonical iteration order of a monomial set is lex-descending, so the
   "first N monomials" of a degree are always a lexsegment prefix.
+
+Lexsegments are built by rank (the combinatorial number system), never by
+enumeration: ``lex_rank`` costs one binomial per variable, ``lex_range`` at
+most degree + 1 per variable plus one step per monomial it returns.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from math import comb
@@ -258,39 +261,69 @@ def enumerate_degree(ring: GroundRing, degree: int, cap: int = DEFAULT_ENUMERATI
     return MonomialSet(ring, degree, (Monomial(e) for e in iter_degree_desc(ring.num_vars, degree)))
 
 
-def lex_prefix(ring: GroundRing, degree: int, size: int, max_var: int | None = None) -> MonomialSet:
-    """The lexsegment of the given size in degree ``degree``, restricted to the
-    first ``max_var`` variables (default: all), embedded in ``ring``."""
+def lex_rank(m: Monomial, max_var: int | None = None) -> int:
+    """The number of degree-deg(m) monomials in the first ``max_var``
+    variables (default: all) that are lex-greater than m: its position in
+    their lex-descending order when it lies there.  Those first exceeding m
+    at x_i are m's factors before x_i times x_i^(e_i + 1) times anything in
+    x_i..x_k of the degree left over."""
+    k = m.num_vars if max_var is None else max_var
+    if not 0 <= k <= m.num_vars:
+        raise DomainError(f"max_var {k} out of range 0..{m.num_vars}")
+    rank, rest = 0, m.degree
+    for i, e in enumerate(m.exponents[:k]):
+        rank += count_monomials(k - i, rest - e - 1)
+        rest -= e
+    return rank
+
+
+def lex_range(ring: GroundRing, degree: int, start: int, stop: int, max_var: int | None = None) -> MonomialSet:
+    """The monomials at positions start..stop-1 of the lex-descending order
+    of degree ``degree`` in the first ``max_var`` variables (default: all),
+    embedded in ``ring``.  Unranks ``start``, then walks the lex successor:
+    the rightmost nonzero exponent before x_k drops by one and the whole
+    tail moves to the next variable."""
     k = ring.num_vars if max_var is None else max_var
     if not 0 <= k <= ring.num_vars:
         raise DomainError(f"max_var {k} out of range 0..{ring.num_vars}")
-    if size < 0:
-        raise DomainError(f"negative prefix size {size}")
-    if size == 0:
+    if not 0 <= start <= stop:
+        raise DomainError(f"bad lex range {start}..{stop}")
+    if start == stop:
         return MonomialSet(ring, degree)
-    if k == 0 or size > count_monomials(k, degree):
-        raise DomainError(
-            f"no lexsegment of size {size} in degree {degree} over {k} variables"
-        )
-    pad = (0,) * (ring.num_vars - k)
-    picked = (
-        Monomial(e + pad)
-        for e in itertools.islice(iter_degree_desc(k, degree), size)
-    )
+    if k == 0 or stop > count_monomials(k, degree):
+        raise DomainError(f"no lexsegment of size {stop} in degree {degree} over {k} variables")
+    e = [0] * ring.num_vars
+    rest, rank = degree, start
+    for i in range(k - 1):
+        # the members with e_i = rest - j fill count_monomials(k - i - 1, j) positions
+        j = 0
+        while rank >= (block := count_monomials(k - i - 1, j)):
+            rank, j = rank - block, j + 1
+        e[i], rest = rest - j, j
+    e[k - 1] = rest
+    picked = [Monomial(tuple(e))]
+    for _ in range(stop - start - 1):
+        i = max(i for i in range(k - 1) if e[i])
+        e[i + 1:k] = [sum(e[i + 1:k]) + 1] + [0] * (k - i - 2)
+        e[i] -= 1
+        picked.append(Monomial(tuple(e)))
     return MonomialSet(ring, degree, picked)
+
+
+def lex_prefix(ring: GroundRing, degree: int, size: int, max_var: int | None = None) -> MonomialSet:
+    """The lexsegment of the given size in degree ``degree``, restricted to the
+    first ``max_var`` variables (default: all), embedded in ``ring``."""
+    return lex_range(ring, degree, 0, size, max_var)
 
 
 def is_lexsegment_set(V: MonomialSet, max_var: int | None = None) -> bool:
     """True iff V is an initial lex segment of its degree within the first
-    ``max_var`` variables (default: the whole ring)."""
+    ``max_var`` variables (default: the whole ring): its members live there
+    and its last member has position len(V) - 1."""
     k = V.ring.num_vars if max_var is None else max_var
     if any(m.max_index > k for m in V):
         return False
-    if len(V) == 0:
-        return True
-    prefix = itertools.islice(iter_degree_desc(k, V.degree), len(V))
-    pad = (0,) * (V.ring.num_vars - k)
-    return all(Monomial(e + pad) in V for e in prefix)
+    return not V.members or lex_rank(V.members[-1], k) == len(V) - 1
 
 
 def is_strongly_stable(V: MonomialSet) -> bool:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from .betti import ahh_betti
 from .dlex import LSequence, _solve_exact, dlinear_lex_from_l, regularity
 from .errors import CapExceeded, DomainError, FormatError
-from .ideals import MonomialIdeal, sq_lexify, sq_prefix
+from .ideals import MonomialIdeal, sq_lex_generators, sq_lexify
 from .macaulay import binom
 from .monomials import DEFAULT_ENUMERATION_CAP, GroundRing, Monomial
 
@@ -182,21 +182,8 @@ def sq_lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Mon
     if r > d:
         raise DomainError(f"reg(I) = {r} exceeds d = {d}")
     counts = _sq_counts(I)
-    gens: list[Monomial] = []
-    prev: tuple[Monomial, ...] = ()
-    for t in range(1, d):
-        span = set()
-        for m in prev:
-            for i in range(1, n + 1):
-                if m.exponents[i - 1] == 0:
-                    span.add(m.times_var(i))
-        prefix = sq_prefix(I.ring, t, counts[t])
-        if not span.issubset(set(prefix)):
-            raise AssertionError(f"squarefree span escaped the lex prefix at degree {t}")
-        gens.extend(m for m in prefix if m not in span)
-        prev = prefix
-    ls = _l_star_from_counts(counts, n, d)
-    J = MonomialIdeal(I.ring, gens) + sq_dlinear_from_l_star(ls, I.ring)
+    low = MonomialIdeal(I.ring, sq_lex_generators(I.ring, counts[1:d]))
+    J = low + sq_dlinear_from_l_star(_l_star_from_counts(counts, n, d), I.ring)
     for t in range(n + 1):
         if len(J.squarefree_slice(t)) != counts[t]:
             raise AssertionError(f"constructed ideal misses the squarefree count at degree {t}")

@@ -1,11 +1,15 @@
 """Command-line front end: verbs, exit codes, bit-exact output, round-trips."""
 
+import hashlib
 import json
 
 import pytest
 
+import dreglex.cli
+from dreglex.betti import ek_betti
 from dreglex.cli import main
-from dreglex.ideals import parse_ideal
+from dreglex.ideals import MonomialIdeal, parse_ideal
+from dreglex.monomials import GroundRing, parse_monomial
 from dreglex.macaulay import parse_hilbert
 from dreglex.squarefree import parse_complex
 
@@ -184,6 +188,35 @@ class TestRanges:
         assert lines[0] == "range: 3 4 5 6"
         assert lines[1] == "reg 3: x1^2, x1*x2, x2^3"
 
+    # the x1^2, x1*x2, x2^3 seeds: prefix enumeration took minutes on them
+    SEED = ("--gens", "x1^2,x1*x2,x2^3")
+
+    def test_lex_seed_six_variables(self, capsys):
+        code, out, _ = run(capsys, "lex", *self.SEED, "-n", "6")
+        assert code == 0
+        assert len(parse_ideal(out).gens) == 254
+
+    def test_reg_range_seed_five_variables_output(self, capsys):
+        code, out, _ = run(capsys, "reg-range", *self.SEED, "-n", "5")
+        assert code == 0
+        # the output of the prefix-enumeration construction
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "1204645e60ed7e0c14cb476e2541db0acaa0f1cfec67df069caf90afd51d9021"
+        )
+
+    def test_reg_range_seed_six_variables(self, capsys):
+        code, out, _ = run(capsys, "reg-range", *self.SEED, "-n", "6", "--json")
+        assert code == 0
+        ring = GroundRing(6)
+        I = MonomialIdeal(ring, (parse_monomial(g, ring) for g in self.SEED[1].split(",")))
+        witnesses = json.loads(out)["witnesses"]
+        assert len(witnesses) > 1
+        for r, gens in witnesses.items():
+            r = int(r)
+            J = MonomialIdeal(ring, (parse_monomial(g, ring) for g in gens))
+            assert ek_betti(J).regularity() == r
+            assert all(J.hilbert(t) == I.hilbert(t) for t in range(r + 7))
+
     def test_sq_reg_range(self, capsys, tmp_path):
         path = tmp_path / "s4.ideal"
         path.write_text(SECTION4)
@@ -274,3 +307,21 @@ class TestComplexVerbs:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "complex", "cm", "/nonexistent.cx")
         assert code == 2
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert dreglex.cli._parser() is dreglex.cli._parser()
+
+    def test_flags_do_not_leak_between_calls(self, capsys, monkeypatch, running):
+        _, out, _ = run(capsys, "hilb", "--json", "-t", "3", running)
+        assert json.loads(out) == {"t": 3, "value": 8}
+        _, out, _ = run(capsys, "hilb", "-t", "3", running)
+        assert out == "8\n"
+        methods = []
+        real_auto, real_koszul = dreglex.cli.betti_auto, dreglex.cli.koszul_betti
+        monkeypatch.setattr(dreglex.cli, "betti_auto", lambda *a: methods.append("auto") or real_auto(*a))
+        monkeypatch.setattr(dreglex.cli, "koszul_betti", lambda *a, **k: methods.append("koszul") or real_koszul(*a, **k))
+        run(capsys, "betti", "--method", "koszul", running)
+        run(capsys, "betti", running)
+        assert methods == ["koszul", "auto"]

@@ -1,6 +1,7 @@
 """The d-regular lexsegment machinery: counts, constructions, the
 characterization theorem, and regularity ranges."""
 
+import itertools
 import random
 
 import pytest
@@ -25,10 +26,12 @@ from dreglex.dlex import (
 from dreglex.errors import DomainError
 from dreglex.ideals import MonomialIdeal, lexify
 from dreglex.koszul import koszul_betti
-from dreglex.macaulay import HilbertSpec, binom
+from dreglex.macaulay import HilbertSpec, binom, up
 from dreglex.monomials import (
     GroundRing,
+    Monomial,
     MonomialSet,
+    iter_degree_desc,
     parse_monomial,
     strongly_stable_closure,
 )
@@ -561,3 +564,74 @@ class TestRegularityRange:
     def test_regularity_helper(self):
         assert regularity(RUNNING) == 3
         assert regularity(ideal(R4, "x1*x2*x3")) == 3
+
+
+def prefix_scan(ring, degree, size, k):
+    """The size-``size`` lex prefix of the given degree in x1..xk, read off
+    the enumeration order of iter_degree_desc."""
+    pad = (0,) * (ring.num_vars - k)
+    return [Monomial(e + pad) for e in itertools.islice(iter_degree_desc(k, degree), size)]
+
+
+def prefix_scan_layers(ring, sizes):
+    """Reference for the lexsegment generators below a degree: each lex
+    prefix enumerated whole, less the first up(previous size) members."""
+    gens, prev = [], 0
+    for t, size in enumerate(sizes, start=1):
+        gens.extend(prefix_scan(ring, t, size, ring.num_vars)[up(prev, ring.num_vars - 1):])
+        prev = size
+    return gens
+
+
+def prefix_scan_lexify(I):
+    """Reference Lex(I) by enumeration, up to the first degree past the max
+    generator degree whose next slice grows by up() alone."""
+    n, t = I.ring.num_vars, I.max_gen_degree
+    while I.hilbert(t + 1) != up(I.hilbert(t), n - 1):
+        t += 1
+    return MonomialIdeal(I.ring, prefix_scan_layers(I.ring, [I.hilbert(s) for s in range(1, t + 1)]))
+
+
+def prefix_scan_lexd(I, d):
+    """Reference Lex^(d)(I) by enumeration: the lex prefixes below degree d,
+    then the whole d-linear set x_k * (size-l_k prefix in x1..xk), left to
+    minimalization."""
+    n = I.ring.num_vars
+    H = HilbertSpec(n, tuple(I.hilbert(t) for t in range(d + n)), "ideal")
+    gens = prefix_scan_layers(I.ring, H.values[1:d])
+    for k, size in enumerate(l_from_hilbert_tail(H, d).entries, start=1):
+        gens.extend(b.times_var(k) for b in prefix_scan(I.ring, d - 1, size, k))
+    return MonomialIdeal(I.ring, gens)
+
+
+class TestAgainstPrefixScan:
+    """The rank-built constructions against the enumeration references."""
+
+    def test_lexify(self):
+        rng = random.Random(404)
+        checked = 0
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            I = rng.choice([random_monomial_ideal, random_strongly_stable_ideal])(rng, n, 4)
+            if I.is_zero or I.is_unit:
+                continue
+            assert lexify(I) == prefix_scan_lexify(I), I
+            checked += 1
+        assert checked >= 50
+
+    def test_lexd(self):
+        rng = random.Random(405)
+        checked = 0
+        for _ in range(40):
+            n = rng.randint(2, 5)
+            I = random_strongly_stable_ideal(rng, n, 4)
+            if I.is_zero or I.is_unit:
+                continue
+            r = regularity(I)
+            for d in range(r, r + 3):
+                assert lexd(I, d) == prefix_scan_lexd(I, d), (I, d)
+                checked += 1
+        for I in (RUNNING, ideal(R4, "x1*x3", "x2^2*x4")):
+            r = regularity(I)
+            assert lexd(I, r) == prefix_scan_lexd(I, r)
+        assert checked >= 100

@@ -18,7 +18,14 @@ from dreglex.ideals import (
     sq_lexify,
 )
 from dreglex.koszul import koszul_betti
-from dreglex.monomials import GroundRing, Monomial, MonomialSet, parse_monomial, strongly_stable_closure
+from dreglex.monomials import (
+    GroundRing,
+    Monomial,
+    MonomialSet,
+    is_lexsegment_set,
+    parse_monomial,
+    strongly_stable_closure,
+)
 from dreglex.squarefree import complex_from_ideal, f_vector
 from tests.conftest import (
     random_monomial,
@@ -315,6 +322,22 @@ class TestLexify:
             top = L.max_gen_degree + I.ring.num_vars
             for t in range(top + 1):
                 assert L.hilbert(t) == I.hilbert(t)
+
+    def test_is_lexsegment_matches_slice_scan(self):
+        # the generator comparison against the definition: every degree
+        # slice through T is a lex prefix
+        rng = random.Random(47)
+        seen = set()
+        for _ in range(60):
+            I = random_monomial_ideal(rng, rng.randint(2, 4), 3)
+            if I.is_zero or I.is_unit:
+                continue
+            for J in (I, lexify(I), lexify(I) + I):
+                for T in (1, J.max_gen_degree, J.max_gen_degree + 2):
+                    verdict = J.is_lexsegment(through_degree=T)
+                    assert verdict == all(is_lexsegment_set(J.degree_slice(t)) for t in range(1, T + 1)), (J, T)
+                    seen.add(verdict)
+        assert seen == {True, False}
 
     def test_degree_cap(self):
         with pytest.raises(CapExceeded):

@@ -12,6 +12,7 @@ from dreglex.errors import DegreeMismatch, DomainError, FormatError, RingMismatc
 from dreglex.ideals import MonomialIdeal
 from dreglex.monomials import (
     GroundRing,
+    Monomial,
     MonomialSet,
     count_monomials,
     dk_decompose,
@@ -19,8 +20,11 @@ from dreglex.monomials import (
     format_monomial,
     is_lexsegment_set,
     is_strongly_stable,
+    iter_degree_desc,
     lex_compare,
     lex_prefix,
+    lex_range,
+    lex_rank,
     m_le_k,
     parse_monomial,
     strongly_stable_closure,
@@ -324,3 +328,71 @@ def test_lexsegment_predicate():
     assert is_lexsegment_set(MonomialSet(R4, 2))
     # subring restriction: {x1^2, x1*x2, x2^2} is the full degree-2 segment in 2 vars
     assert is_lexsegment_set(mset(R4, 2, "x1^2", "x1*x2", "x2^2"), max_var=2)
+
+
+class TestLexRanks:
+    """lex_rank, lex_range and is_lexsegment_set against the enumeration
+    order of iter_degree_desc, for every ring size n <= 5, degree d <= 6 and
+    max_var k."""
+
+    @staticmethod
+    def worlds():
+        for n in range(1, 6):
+            for d in range(7):
+                for k in range(n + 1):
+                    order = [Monomial(e + (0,) * (n - k)) for e in iter_degree_desc(k, d)] if k else []
+                    yield GroundRing(n), d, k, order
+
+    @staticmethod
+    def ranges(total):
+        """Every (start, stop) pair up to 40 monomials; past that every
+        start with the stops start, start + 1 and total, and every stop
+        from 0 (all pairs there would take seconds)."""
+        if total <= 40:
+            return [(a, b) for a in range(total + 1) for b in range(a, total + 1)]
+        return sorted({(a, b) for a in range(total + 1) for b in (a, min(a + 1, total), total)}
+                      | {(0, b) for b in range(total + 1)})
+
+    def test_rank_is_position(self):
+        for _, _, k, order in self.worlds():
+            assert [lex_rank(m, k) for m in order] == list(range(len(order)))
+
+    def test_rank_counts_members_before_any_monomial(self):
+        # the c_k count of dlex_from_hilbert: the members in x1..xk of the
+        # lex prefix of the whole ring that ends just before m
+        for ring, d, k, order in self.worlds():
+            if k == ring.num_vars:
+                continue
+            inside = 0
+            for m in (Monomial(e) for e in iter_degree_desc(ring.num_vars, d)):
+                assert lex_rank(m, k) == inside
+                inside += m.max_index <= k
+
+    def test_range_is_slice_of_order(self):
+        for ring, d, k, order in self.worlds():
+            for a, b in self.ranges(len(order)):
+                assert lex_range(ring, d, a, b, max_var=k).members == tuple(order[a:b])
+
+    def test_range_rejects_bad_bounds(self):
+        for ring, d, k, order in self.worlds():
+            with pytest.raises(DomainError):
+                lex_range(ring, d, 0, len(order) + 1, max_var=k)
+            with pytest.raises(DomainError):
+                lex_range(ring, d, 1, 0, max_var=k)
+            with pytest.raises(DomainError):
+                lex_rank(ring.one(), ring.num_vars + 1)
+
+    def test_lexsegment_set_by_rank(self):
+        # on the lex ranges above, and on the prefixes of up to 20 members
+        # with one member dropped
+        for ring, d, k, order in self.worlds():
+            n = ring.num_vars
+            prefixes = {j: [Monomial(e + (0,) * (n - j)) for e in iter_degree_desc(j, d)]
+                        for j in range(1, n + 1)}
+            sets = [order[a:b] for a, b in self.ranges(len(order))]
+            sets += [order[:i] + order[i + 1:b] for b in range(min(len(order), 20) + 1) for i in range(b)]
+            for members in sets:
+                V = MonomialSet(ring, d, members)
+                for j in range(1, n + 1):
+                    assert is_lexsegment_set(V, max_var=j) == (members == prefixes[j][: len(members)])
+                assert is_lexsegment_set(V) == is_lexsegment_set(V, max_var=n)
