@@ -79,7 +79,6 @@ from .monomials import (
     is_strongly_stable,
     lex_compare,
     lex_prefix,
-    lex_range,
     lex_rank,
     m_le_k,
     parse_monomial,

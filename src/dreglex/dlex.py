@@ -23,7 +23,6 @@ from .monomials import (
     is_lexsegment_set,
     is_strongly_stable,
     lex_prefix,
-    lex_range,
     lex_rank,
 )
 
@@ -242,11 +241,11 @@ def dlex_from_hilbert(H: HilbertSpec, d: int) -> MonomialIdeal:
     ring = GroundRing(H.num_vars)
     gens = [m for new in lex_layers(ring, H.values[1:d]) for m in new]
     a = H.value(d - 1)
-    past = lex_range(ring, d - 1, a, min(a + 1, count_monomials(ring.num_vars, d - 1))).members
+    past = lex_prefix(ring, d - 1, min(a + 1, count_monomials(ring.num_vars, d - 1)), start=a).members
     for k, size in enumerate(verdict.witness_l.entries, start=1):
         c = lex_rank(past[0], k) if past else count_monomials(k, d - 1)
         # c > size: no d-lex ideal has these counts; J then exceeds H(d) and fails below
-        gens.extend(b.times_var(k) for b in lex_range(ring, d - 1, min(c, size), size, max_var=k))
+        gens.extend(b.times_var(k) for b in lex_prefix(ring, d - 1, size, max_var=k, start=min(c, size)))
     J = MonomialIdeal(ring, gens)
     for t in range(0, H.top + 1):
         if J.hilbert(t) != H.value(t):

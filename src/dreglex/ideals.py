@@ -25,7 +25,7 @@ from .monomials import (
     count_monomials,
     enumerate_degree,
     format_monomial,
-    lex_range,
+    lex_prefix,
     parse_monomial,
 )
 
@@ -296,15 +296,15 @@ class MonomialIdeal:
 
 def lex_layers(ring: GroundRing, sizes: Iterable[int]) -> Iterator[tuple[Monomial, ...]]:
     """The generators, degree t = 1, 2, ... in turn, of the lexsegment ideal
-    whose degree-t slice has size ``sizes[t - 1]``: the lex range from the
-    span of the previous slice, the lex prefix of size up(previous size,
-    n - 1), to that size."""
+    whose degree-t slice has size ``sizes[t - 1]``: the lex prefix of that
+    size less the span of the previous slice, the lex prefix of size
+    up(previous size, n - 1)."""
     prev = 0
     for t, size in enumerate(sizes, start=1):
         span = up(prev, ring.num_vars - 1)
         if span > size:
             raise DomainError(f"Hilbert data violates Macaulay growth at degree {t}")
-        yield lex_range(ring, t, span, size).members
+        yield lex_prefix(ring, t, size, start=span).members
         prev = size
 
 

@@ -10,8 +10,9 @@ Conventions, fixed once and used everywhere:
   "first N monomials" of a degree are always a lexsegment prefix.
 
 Lexsegments are built by rank (the combinatorial number system), never by
-enumeration: ``lex_rank`` costs one binomial per variable, ``lex_range`` at
-most degree + 1 per variable plus one step per monomial it returns.
+enumeration: ``lex_rank`` costs one binomial per variable; ``lex_prefix``
+with ``start`` unranks its first member in at most degree + 1 steps a variable
+and then costs one step per monomial it returns.
 """
 
 from __future__ import annotations
@@ -277,21 +278,21 @@ def lex_rank(m: Monomial, max_var: int | None = None) -> int:
     return rank
 
 
-def lex_range(ring: GroundRing, degree: int, start: int, stop: int, max_var: int | None = None) -> MonomialSet:
-    """The monomials at positions start..stop-1 of the lex-descending order
-    of degree ``degree`` in the first ``max_var`` variables (default: all),
-    embedded in ``ring``.  Unranks ``start``, then walks the lex successor:
-    the rightmost nonzero exponent before x_k drops by one and the whole
-    tail moves to the next variable."""
+def lex_prefix(ring: GroundRing, degree: int, size: int, max_var: int | None = None, start: int = 0) -> MonomialSet:
+    """The lexsegment of the given size in degree ``degree``, restricted to the
+    first ``max_var`` variables (default: all), embedded in ``ring``, less its
+    first ``start`` members.  Unranks ``start``, then walks the lex successor:
+    the rightmost nonzero exponent before x_k drops by one and the whole tail
+    moves to the next variable."""
     k = ring.num_vars if max_var is None else max_var
     if not 0 <= k <= ring.num_vars:
         raise DomainError(f"max_var {k} out of range 0..{ring.num_vars}")
-    if not 0 <= start <= stop:
-        raise DomainError(f"bad lex range {start}..{stop}")
-    if start == stop:
+    if not 0 <= start <= size:
+        raise DomainError(f"bad lex range {start}..{size}")
+    if start == size:
         return MonomialSet(ring, degree)
-    if k == 0 or stop > count_monomials(k, degree):
-        raise DomainError(f"no lexsegment of size {stop} in degree {degree} over {k} variables")
+    if k == 0 or size > count_monomials(k, degree):
+        raise DomainError(f"no lexsegment of size {size} in degree {degree} over {k} variables")
     e = [0] * ring.num_vars
     rest, rank = degree, start
     for i in range(k - 1):
@@ -302,18 +303,12 @@ def lex_range(ring: GroundRing, degree: int, start: int, stop: int, max_var: int
         e[i], rest = rest - j, j
     e[k - 1] = rest
     picked = [Monomial(tuple(e))]
-    for _ in range(stop - start - 1):
+    for _ in range(size - start - 1):
         i = max(i for i in range(k - 1) if e[i])
         e[i + 1:k] = [sum(e[i + 1:k]) + 1] + [0] * (k - i - 2)
         e[i] -= 1
         picked.append(Monomial(tuple(e)))
     return MonomialSet(ring, degree, picked)
-
-
-def lex_prefix(ring: GroundRing, degree: int, size: int, max_var: int | None = None) -> MonomialSet:
-    """The lexsegment of the given size in degree ``degree``, restricted to the
-    first ``max_var`` variables (default: all), embedded in ``ring``."""
-    return lex_range(ring, degree, 0, size, max_var)
 
 
 def is_lexsegment_set(V: MonomialSet, max_var: int | None = None) -> bool:

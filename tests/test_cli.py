@@ -311,7 +311,7 @@ class TestComplexVerbs:
 
 class TestParserReuse:
     def test_parser_built_once(self):
-        assert dreglex.cli._parser() is dreglex.cli._parser()
+        assert dreglex.cli.build_parser() is dreglex.cli.build_parser()
 
     def test_flags_do_not_leak_between_calls(self, capsys, monkeypatch, running):
         _, out, _ = run(capsys, "hilb", "--json", "-t", "3", running)

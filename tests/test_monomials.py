@@ -23,7 +23,6 @@ from dreglex.monomials import (
     iter_degree_desc,
     lex_compare,
     lex_prefix,
-    lex_range,
     lex_rank,
     m_le_k,
     parse_monomial,
@@ -331,7 +330,7 @@ def test_lexsegment_predicate():
 
 
 class TestLexRanks:
-    """lex_rank, lex_range and is_lexsegment_set against the enumeration
+    """lex_rank, lex_prefix with a start and is_lexsegment_set against the enumeration
     order of iter_degree_desc, for every ring size n <= 5, degree d <= 6 and
     max_var k."""
 
@@ -368,22 +367,22 @@ class TestLexRanks:
                 assert lex_rank(m, k) == inside
                 inside += m.max_index <= k
 
-    def test_range_is_slice_of_order(self):
+    def test_prefix_from_start_is_slice_of_order(self):
         for ring, d, k, order in self.worlds():
             for a, b in self.ranges(len(order)):
-                assert lex_range(ring, d, a, b, max_var=k).members == tuple(order[a:b])
+                assert lex_prefix(ring, d, b, max_var=k, start=a).members == tuple(order[a:b])
 
-    def test_range_rejects_bad_bounds(self):
+    def test_prefix_rejects_bad_bounds(self):
         for ring, d, k, order in self.worlds():
             with pytest.raises(DomainError):
-                lex_range(ring, d, 0, len(order) + 1, max_var=k)
+                lex_prefix(ring, d, len(order) + 1, max_var=k)
             with pytest.raises(DomainError):
-                lex_range(ring, d, 1, 0, max_var=k)
+                lex_prefix(ring, d, 0, max_var=k, start=1)
             with pytest.raises(DomainError):
                 lex_rank(ring.one(), ring.num_vars + 1)
 
     def test_lexsegment_set_by_rank(self):
-        # on the lex ranges above, and on the prefixes of up to 20 members
+        # on the lex slices above, and on the prefixes of up to 20 members
         # with one member dropped
         for ring, d, k, order in self.worlds():
             n = ring.num_vars
