@@ -12,6 +12,7 @@ slice-count formulas; they must agree entrywise and the tests enforce it.
 
 from __future__ import annotations
 
+import itertools
 from typing import Mapping
 
 from .errors import DomainError
@@ -149,14 +150,7 @@ def ek_betti(I: MonomialIdeal) -> BettiDiagram:
         raise DomainError("the unit ideal is outside the stable Betti formula")
     if not I.is_stable():
         raise DomainError("the generator-sum formula needs a stable ideal")
-    entries: dict[tuple[int, int], int] = {}
-    for g in I.gens:
-        k = g.degree
-        top = g.max_index - 1
-        for i in range(top + 1):
-            key = (i, i + k)
-            entries[key] = entries.get(key, 0) + binom(top, i)
-    return BettiDiagram(I.ring.num_vars, entries)
+    return _generator_sum(I, squarefree=False)
 
 
 def ahh_betti(I: MonomialIdeal) -> BettiDiagram:
@@ -166,35 +160,35 @@ def ahh_betti(I: MonomialIdeal) -> BettiDiagram:
         raise DomainError("the unit ideal is outside the squarefree Betti formula")
     if not I.is_squarefree_strongly_stable():
         raise DomainError("the squarefree generator-sum formula needs a squarefree strongly stable ideal")
+    return _generator_sum(I, squarefree=True)
+
+
+def _generator_sum(I: MonomialIdeal, squarefree: bool) -> BettiDiagram:
+    """beta_{i,i+k}(I) = sum over degree-k generators u of C(max(u) - c, i),
+    c = k for the squarefree formula and c = 1 otherwise."""
     entries: dict[tuple[int, int], int] = {}
     for g in I.gens:
         k = g.degree
-        top = g.max_index - k
+        top = g.max_index - (k if squarefree else 1)
         for i in range(top + 1):
             key = (i, i + k)
             entries[key] = entries.get(key, 0) + binom(top, i)
     return BettiDiagram(I.ring.num_vars, entries)
 
 
-def _m_le_counts(I: MonomialIdeal, k: int, cap: int) -> list[int]:
-    """Cumulative counts |M_{<=q}(I, k)| for q = 0..n (q = 0 counts only the
-    unit monomial, which is in I only for the unit ideal)."""
-    key = ("mle", k)
-    if key in I._cache:
-        return I._cache[key]
-    n = I.ring.num_vars
-    per_max = [0] * (n + 1)
-    if k == 0:
-        if I.is_unit:
-            per_max[0] = 1
-    else:
-        for m in I.degree_slice(k, cap):
+def _m_le_counts(I: MonomialIdeal, k: int, squarefree: bool, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
+    """Cumulative counts |M_{<=q}(I, k)| (or, squarefree, |M*_{<=q}(I, k)|)
+    of the degree-k members (squarefree members) with max index <= q, for
+    q = 0..n; q = 0 counts only the unit monomial, a member only of the unit
+    ideal."""
+
+    def compute() -> tuple[int, ...]:
+        per_max = [0] * (I.ring.num_vars + 1)
+        for m in I.squarefree_slice(k) if squarefree else I.degree_slice(k, cap):
             per_max[m.max_index] += 1
-    counts = list(per_max)
-    for q in range(1, n + 1):
-        counts[q] += counts[q - 1]
-    I._cache[key] = counts
-    return counts
+        return tuple(itertools.accumulate(per_max))
+
+    return I.memo(("mle", squarefree, k), compute)
 
 
 def bigatti_degreewise(I: MonomialIdeal, i: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
@@ -211,33 +205,12 @@ def bigatti_degreewise(I: MonomialIdeal, i: int, k: int, cap: int = DEFAULT_ENUM
     if not I.is_strongly_stable():
         raise DomainError("the degreewise formula needs a strongly stable ideal")
     n = I.ring.num_vars
-    cur = _m_le_counts(I, k, cap)
-    below = _m_le_counts(I, k - 1, cap)
+    cur = _m_le_counts(I, k, False, cap)
+    below = _m_le_counts(I, k - 1, False, cap)
     value = cur[n] * binom(n - 1, i)
     value -= sum(cur[q] * binom(q - 1, i - 1) for q in range(i, n))
     value -= sum(below[q] * binom(q - 1, i) for q in range(i + 1, n + 1))
     return value
-
-
-def _sq_m_le_counts(I: MonomialIdeal, k: int) -> list[int]:
-    """Cumulative counts |M*_{<=t}(I, k)| of squarefree degree-k members with
-    max index <= t, for t = 0..n."""
-    key = ("sqmle", k)
-    if key in I._cache:
-        return I._cache[key]
-    n = I.ring.num_vars
-    per_max = [0] * (n + 1)
-    if k == 0:
-        if I.is_unit:
-            per_max[0] = 1
-    else:
-        for m in I.squarefree_slice(k):
-            per_max[m.max_index] += 1
-    counts = list(per_max)
-    for q in range(1, n + 1):
-        counts[q] += counts[q - 1]
-    I._cache[key] = counts
-    return counts
 
 
 def sq_degreewise(I: MonomialIdeal, i: int, k: int) -> int:
@@ -259,8 +232,8 @@ def sq_degreewise(I: MonomialIdeal, i: int, k: int) -> int:
     if not I.is_squarefree_strongly_stable():
         raise DomainError("the squarefree degreewise formula needs a squarefree strongly stable ideal")
     n = I.ring.num_vars
-    cur = _sq_m_le_counts(I, k)
-    below = _sq_m_le_counts(I, k - 1)
+    cur = _m_le_counts(I, k, True)
+    below = _m_le_counts(I, k - 1, True)
     value = cur[n] * binom(n - k, i)
     value -= sum(cur[t] * binom(t - k, i - 1) for t in range(k, n))
     value -= sum(below[t - 1] * binom(t - k, i) for t in range(k, n + 1))

@@ -276,9 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dreglex {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, ideal_input=True):
-        p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
-                       help="enumeration cap (default 10^6)")
+    def common(p, ideal_input=True, cap=False):
+        if cap:
+            p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                           help="enumeration cap (default 10^6)")
         p.add_argument("--json", action="store_true", help="structured output")
         if ideal_input:
             p.add_argument("input", nargs="?", help="input file")
@@ -293,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_hilb)
 
     p = sub.add_parser("betti", help="graded Betti diagram")
-    common(p)
+    common(p, cap=True)
     p.add_argument(
         "--method",
         choices=["auto", "ek", "ahh", "degreewise", "sq-degreewise", "koszul"],
@@ -315,12 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sqlex)
 
     p = sub.add_parser("dlex", help="the d-lexsegment ideal with the same Hilbert function")
-    common(p)
+    common(p, cap=True)
     p.add_argument("-d", type=int, required=True)
     p.set_defaults(func=_cmd_dlex)
 
     p = sub.add_parser("sqdlex", help="the squarefree d-lexsegment ideal with the same Hilbert function")
-    common(p)
+    common(p, cap=True)
     p.add_argument("-d", type=int, required=True)
     p.set_defaults(func=_cmd_sqdlex)
 
@@ -343,7 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("characterize", help="decide d-regular realizability of a Hilbert function")
     p.add_argument("input", nargs="?", help="Hilbert file")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--json", action="store_true")
     p.add_argument("-d", type=int, required=True)
     p.add_argument("--exact", action="store_true", help="require regularity exactly d")
@@ -357,12 +357,12 @@ def build_parser() -> argparse.ArgumentParser:
         "lexification's.  The range starts at the minimum only when the input "
         "realizes it; a non-minimal representative yields the tail subset.",
     )
-    common(p)
+    common(p, cap=True)
     p.add_argument("--max-degree", type=int, default=64)
     p.set_defaults(func=_cmd_reg_range)
 
     p = sub.add_parser("sq-reg-range", help="squarefree analogue of reg-range")
-    common(p)
+    common(p, cap=True)
     p.set_defaults(func=_cmd_sq_reg_range)
 
     p = sub.add_parser("area", help="extremal-area utilities")
@@ -372,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_area)
 
     p = sub.add_parser("lexarea", help="maximal-Betti ideal for a semi-convex area")
-    common(p)
+    common(p, cap=True)
     p.add_argument("--area", required=True, help='corner list "(i,j);(i,j);..."')
     p.set_defaults(func=_cmd_lexarea)
 

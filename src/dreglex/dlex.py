@@ -7,7 +7,6 @@ d-regular ideals, and the regularity range of a Hilbert function.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .betti import BettiDiagram, ahh_betti, ek_betti
 from .errors import DomainError
@@ -130,52 +129,38 @@ def hilbert_from_l(l: LSequence, num_vars: int, t: int) -> int:
 def l_from_hilbert_tail(H: HilbertSpec, d: int) -> LSequence:
     """Invert the count formula from the n tail values H(d), ..., H(d+n-1).
 
+    The tail's generating function sum_m H(d+m) z^m is
+    sum_k l_k / (1 - z)^(n-k+1); times (1 - z)^n it is the polynomial
+    P(z) = sum_k l_k (1 - z)^(k-1) of degree < n, so its coefficients
+    p_0, ..., p_{n-1} need only the n tail values; z -> 1 - w turns P into
+    sum_k l_k w^(k-1).  Both steps are invertible over the integers, so
+    every integer tail has exactly one integer solution.
+
     Any further supplied values are verified against the recovered sequence;
-    a mismatch, a fractional or a negative solution all mean no degree-d
-    generated strongly stable ideal matches.
+    a mismatch or a negative solution means no degree-d generated strongly
+    stable ideal matches.
     """
     n = H.num_vars
     if d < 1:
         raise DomainError("d must be positive")
     if H.top < d + n - 1:
         raise DomainError(f"need H through degree {d + n - 1}, have {H.top}")
-    rows = []
-    rhs = []
-    for m in range(n):
-        rows.append([Fraction(binom(n - k + m, n - k)) for k in range(1, n + 1)])
-        rhs.append(Fraction(H.value(d + m)))
-    sol = _solve_exact(rows, rhs)
-    if sol is None:
-        raise DomainError("tail system is singular; no matching sequence")
-    entries = []
-    for x in sol:
-        if x.denominator != 1 or x < 0:
-            raise DomainError(
-                f"tail {tuple(H.values[d:d + n])} is not the Hilbert tail of a degree-{d} strongly stable ideal"
-            )
-        entries.append(int(x))
-    l = LSequence(tuple(entries), d)
+    p = [
+        sum((-1) ** i * binom(n, i) * H.value(d + m - i) for i in range(m + 1))
+        for m in range(n)
+    ]
+    entries = tuple(
+        (-1) ** k * sum(p[j] * binom(j, k) for j in range(k, n)) for k in range(n)
+    )
+    if any(x < 0 for x in entries):
+        raise DomainError(
+            f"tail {tuple(H.values[d:d + n])} is not the Hilbert tail of a degree-{d} strongly stable ideal"
+        )
+    l = LSequence(entries, d)
     for t in range(d + n, H.top + 1):
         if hilbert_from_l(l, n, t) != H.value(t):
             raise DomainError(f"supplied H({t}) deviates from the sequence recovered from the tail")
     return l
-
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    n = len(rows)
-    m = [rows[i][:] + [rhs[i]] for i in range(n)]
-    for c in range(n):
-        pivot = next((r for r in range(c, n) if m[r][c]), None)
-        if pivot is None:
-            return None
-        m[c], m[pivot] = m[pivot], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [v * inv for v in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-    return [m[r][n] for r in range(n)]
 
 
 @dataclass(frozen=True)

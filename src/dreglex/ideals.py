@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from operator import le
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import CapExceeded, DomainError, FormatError, RingMismatch
 from .macaulay import binom, up
@@ -28,6 +28,8 @@ from .monomials import (
     lex_prefix,
     parse_monomial,
 )
+
+T = TypeVar("T")
 
 
 def minimalize(ring: GroundRing, gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
@@ -195,9 +197,15 @@ class MonomialIdeal:
     def numerator(self) -> tuple[int, ...]:
         """Coefficients of N with Hilbert series N(z) / (1 - z)^n of S/I,
         lowest degree first."""
-        if "numerator" not in self._cache:
-            self._cache["numerator"] = tuple(_numerator([g.exponents for g in self.gens]))
-        return self._cache["numerator"]
+        return self.memo("numerator", lambda: tuple(_numerator([g.exponents for g in self.gens])))
+
+    def memo(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """The value cached under ``key``, computed by ``compute()`` on the
+        first request.  Only for values fixed by the generators, so threads
+        racing on a first request store equal values."""
+        if key not in self._cache:
+            self._cache[key] = compute()
+        return self._cache[key]
 
     # -- structural predicates -----------------------------------------------
     #
@@ -208,25 +216,21 @@ class MonomialIdeal:
 
     def is_stable(self) -> bool:
         """Closure under the exchanges x_p * u / x_max(u), p < max(u)."""
-        if "stable" not in self._cache:
-            self._cache["stable"] = all(
-                self.contains(u.exchange(p, u.max_index))
-                for u in self.gens
-                for p in range(1, u.max_index)
-            )
-        return self._cache["stable"]
+        return self.memo("stable", lambda: all(
+            self.contains(u.exchange(p, u.max_index))
+            for u in self.gens
+            for p in range(1, u.max_index)
+        ))
 
     def is_strongly_stable(self) -> bool:
         """Closure under every exchange x_q -> x_p with p < q.  The moves
         x_q -> x_{q-1} suffice: x_p * u / x_q is a chain of them."""
-        if "strongly_stable" not in self._cache:
-            result = all(
-                self.contains(u.exchange(q - 1, q)) for u in self.gens for q in u.support if q > 1
-            )
-            self._cache["strongly_stable"] = result
-            if result:
-                self._cache["stable"] = True
-        return self._cache["strongly_stable"]
+        result = self.memo("strongly_stable", lambda: all(
+            self.contains(u.exchange(q - 1, q)) for u in self.gens for q in u.support if q > 1
+        ))
+        if result:
+            self.memo("stable", lambda: True)
+        return result
 
     def is_lexsegment(self, through_degree: int | None = None) -> bool:
         """True iff every degree slice up to the max generator degree (or the
@@ -280,15 +284,13 @@ class MonomialIdeal:
     def is_squarefree_strongly_stable(self) -> bool:
         """Squarefree, and closed under the squarefree exchanges x_q -> x_p
         with p < q and x_p outside the support."""
-        if "sq_strongly_stable" not in self._cache:
-            self._cache["sq_strongly_stable"] = self.is_squarefree and all(
-                self.contains(u.exchange(p, q))
-                for u in self.gens
-                for q in u.support
-                for p in range(1, q)
-                if not u.exponents[p - 1]
-            )
-        return self._cache["sq_strongly_stable"]
+        return self.memo("sq_strongly_stable", lambda: self.is_squarefree and all(
+            self.contains(u.exchange(p, q))
+            for u in self.gens
+            for q in u.support
+            for p in range(1, q)
+            if not u.exponents[p - 1]
+        ))
 
 
 # -- lexification ---------------------------------------------------------------

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .betti import ahh_betti
-from .dlex import LSequence, _solve_exact, dlinear_lex_from_l, regularity
+from .dlex import LSequence, dlinear_lex_from_l, regularity
 from .errors import CapExceeded, DomainError, FormatError
 from .ideals import MonomialIdeal, sq_lex_generators, sq_lexify
 from .macaulay import binom
@@ -137,20 +136,19 @@ def _sq_counts(I: MonomialIdeal) -> list[int]:
 def _l_star_from_counts(counts: list[int], n: int, d: int) -> LStarSequence:
     """Recover the shifted count vector from the squarefree member counts at
     degrees d..n, inverting
-        count(t) = sum_k l*_k C(n - d + 1 - k, t - d).
+        count(d + m) = sum_k l*_k C(n - d + 1 - k, m).
+    With a_j = l*_{n-d+1-j} that reads sum_m count(d + m) x^m =
+    sum_j a_j (1 + x)^j, and x -> w - 1 gives the a_j as integer sums.
     """
     slots = n - d + 1
-    rows = [[Fraction(binom(slots - k, m)) for k in range(1, slots + 1)] for m in range(slots)]
-    rhs = [Fraction(counts[d + m]) for m in range(slots)]
-    sol = _solve_exact(rows, rhs)
-    if sol is None:
-        raise DomainError("squarefree count system is singular")
-    entries = []
-    for x in sol:
-        if x.denominator != 1 or x < 0:
-            raise DomainError("squarefree counts do not match any squarefree strongly stable tail")
-        entries.append(int(x))
-    return LStarSequence(tuple(entries), d)
+    # m starts at s: C(m, s) vanishes below, where (-1) ** (m - s) is a float
+    entries = tuple(
+        sum((-1) ** (m - s) * binom(m, s) * counts[d + m] for m in range(s, slots))
+        for s in reversed(range(slots))
+    )
+    if any(x < 0 for x in entries):
+        raise DomainError("squarefree counts do not match any squarefree strongly stable tail")
+    return LStarSequence(entries, d)
 
 
 def sq_dlinear_from_l_star(ls: LStarSequence, ring: GroundRing) -> MonomialIdeal:

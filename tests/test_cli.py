@@ -309,6 +309,32 @@ class TestComplexVerbs:
         assert code == 2
 
 
+class TestCapFlag:
+    """--cap is accepted exactly by the verbs that read it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["hilb", "-t", "3"], ["lex"], ["sqlex"], ["phi"], ["phi-inv"], ["phi-tilde"], ["lseq"],
+        ["characterize", "-d", "3"],
+    ])
+    def test_verbs_without_enumeration_reject_cap(self, capsys, running, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [running, "--cap", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["betti"], ["dlex", "-d", "3"], ["sqdlex", "-d", "3"], ["reg-range"], ["sq-reg-range"],
+        ["lexarea", "--area", "(2,4)"], ["complex", "cm"],
+    ])
+    def test_reading_verbs_accept_cap(self, argv):
+        assert dreglex.cli.build_parser().parse_args(argv + ["in.txt", "--cap", "7"]).cap == 7
+
+    def test_koszul_cap_still_bites(self, capsys, running):
+        code, _, err = run(capsys, "betti", "--method", "koszul", "--cap", "1", running)
+        assert code == 1
+        assert "lcm lattice exceeds the cap of 1" in err
+
+
 class TestParserReuse:
     def test_parser_built_once(self):
         assert dreglex.cli.build_parser() is dreglex.cli.build_parser()

@@ -3,6 +3,7 @@ characterization theorem, and regularity ranges."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -35,6 +36,7 @@ from dreglex.monomials import (
     parse_monomial,
     strongly_stable_closure,
 )
+from dreglex.squarefree import _l_star_from_counts
 from tests.conftest import (
     random_monomial_ideal,
     random_strongly_stable_ideal,
@@ -635,3 +637,80 @@ class TestAgainstPrefixScan:
             r = regularity(I)
             assert lexd(I, r) == prefix_scan_lexd(I, r)
         assert checked >= 100
+
+
+def gauss_solve(rows, rhs):
+    """Reference: Gauss-Jordan elimination over the rationals; None when the
+    system is singular."""
+    n = len(rows)
+    m = [[Fraction(v) for v in rows[i]] + [Fraction(rhs[i])] for i in range(n)]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if m[r][c]), None)
+        if pivot is None:
+            return None
+        m[c], m[pivot] = m[pivot], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [v * inv for v in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return [m[r][n] for r in range(n)]
+
+
+def _random_signed_counts(rng, size):
+    """Counts in 0..5, each turned negative with probability 1/6, so about
+    half the vectors of up to six slots are nonnegative."""
+    return [-rng.randint(1, 3) if rng.random() < 1 / 6 else rng.randint(0, 5) for _ in range(size)]
+
+
+class TestInversionAgainstElimination:
+    """The integer binomial transforms against a rational linear solve of the
+    same systems: on any integer data the solve is integral, and the
+    transforms return it when it is nonnegative and raise otherwise."""
+
+    def _check(self, solve, reference, counts):
+        assert reference is not None and all(x.denominator == 1 for x in reference)
+        if min(reference) >= 0:
+            assert solve().entries == tuple(map(int, reference))
+            counts[0] += 1
+        else:
+            with pytest.raises(DomainError):
+                solve()
+            counts[1] += 1
+
+    def test_hilbert_tail(self):
+        rng = random.Random(506)
+        counts = [0, 0]
+        while sum(counts) < 300:
+            n, d = rng.randint(1, 6), rng.randint(1, 4)
+            if rng.random() < 0.5:
+                tail = [rng.randint(0, 40) for _ in range(n)]
+            else:
+                l = _random_signed_counts(rng, n)
+                tail = [sum(l[k - 1] * binom(n - k + m, n - k) for k in range(1, n + 1)) for m in range(n)]
+                if min(tail) < 0:
+                    continue
+            H = HilbertSpec(n, (0,) * d + tuple(tail), "ideal")
+            rows = [[binom(n - k + m, n - k) for k in range(1, n + 1)] for m in range(n)]
+            self._check(lambda: l_from_hilbert_tail(H, d), gauss_solve(rows, tail), counts)
+        assert min(counts) >= 100, counts
+
+    def test_squarefree_counts(self):
+        rng = random.Random(507)
+        counts = [0, 0]
+        while sum(counts) < 300:
+            n = rng.randint(1, 7)
+            d = rng.randint(1, n)
+            slots = n - d + 1
+            if rng.random() < 0.5:
+                tail = [rng.randint(0, 30) for _ in range(slots)]
+            else:
+                ls = _random_signed_counts(rng, slots)
+                tail = [sum(ls[k - 1] * binom(slots - k, m) for k in range(1, slots + 1)) for m in range(slots)]
+                if min(tail) < 0:
+                    continue
+            sq_counts = [rng.randint(0, 5) for _ in range(d)] + tail
+            rows = [[binom(slots - k, m) for k in range(1, slots + 1)] for m in range(slots)]
+            self._check(lambda: _l_star_from_counts(sq_counts, n, d), gauss_solve(rows, tail), counts)
+        assert min(counts) >= 100, counts
