@@ -64,12 +64,6 @@ def _load_hilbert(args) -> HilbertSpec:
     return parse_hilbert(_read_text(args.input))
 
 
-def _load_complex(args):
-    if args.input is None:
-        raise FormatError("missing input: give a complex file")
-    return parse_complex(_read_text(args.input))
-
-
 def _emit_ideal(I: MonomialIdeal, args) -> None:
     if args.json:
         print(json.dumps({
@@ -131,7 +125,7 @@ def _cmd_betti(args) -> int:
 
 
 def _cmd_lex(args) -> int:
-    _emit_ideal(lexify(_load_ideal(args), args.max_degree), args)
+    _emit_ideal(lexify(_load_ideal(args)), args)
     return 0
 
 
@@ -193,15 +187,11 @@ def _cmd_characterize(args) -> int:
 
 
 def _cmd_reg_range(args) -> int:
-    I = _load_ideal(args)
-    witnesses = regularity_range(I, args.max_degree, args.cap)
-    return _emit_range(witnesses, args)
+    return _emit_range(regularity_range(_load_ideal(args), args.cap), args)
 
 
 def _cmd_sq_reg_range(args) -> int:
-    I = _load_ideal(args)
-    witnesses = sq_regularity_range(I, args.cap)
-    return _emit_range(witnesses, args)
+    return _emit_range(sq_regularity_range(_load_ideal(args), args.cap), args)
 
 
 def _emit_range(witnesses, args) -> int:
@@ -246,7 +236,7 @@ def _cmd_lexarea(args) -> int:
 
 
 def _cmd_complex(args) -> int:
-    complex_ = _load_complex(args)
+    complex_ = parse_complex(_read_text(args.input))
     if args.action == "fvec":
         vec = f_vector(complex_)
         print(json.dumps({"f": list(vec)}) if args.json else " ".join(map(str, vec)))
@@ -308,7 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lex", help="the lexsegment ideal with the same Hilbert function")
     common(p)
-    p.add_argument("--max-degree", type=int, default=64, help="hard degree cap for stabilization")
     p.set_defaults(func=_cmd_lex)
 
     p = sub.add_parser("sqlex", help="the squarefree lexsegment ideal with the same Hilbert function")
@@ -355,10 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Witnesses of every achievable regularity for the input's "
         "Hilbert function, from the input's own regularity up to the full "
         "lexification's.  The range starts at the minimum only when the input "
-        "realizes it; a non-minimal representative yields the tail subset.",
+        "realizes it; a non-minimal representative yields the tail subset.  The "
+        "lexification's end and every witness are read from the Hilbert function.",
     )
     common(p, cap=True)
-    p.add_argument("--max-degree", type=int, default=64)
     p.set_defaults(func=_cmd_reg_range)
 
     p = sub.add_parser("sq-reg-range", help="squarefree analogue of reg-range")
@@ -378,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("complex", help="simplicial-complex utilities")
     p.add_argument("action", choices=["fvec", "hvec", "dual", "sr", "cm"])
-    p.add_argument("input", nargs="?", help="complex file")
+    p.add_argument("input", help="complex file")
     p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_complex)

@@ -267,26 +267,26 @@ def lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Monomi
     return dlex_from_hilbert(H, d)
 
 
-def regularity_range(
-    I: MonomialIdeal,
-    max_degree: int = 64,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> dict[int, MonomialIdeal]:
+def regularity_range(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, MonomialIdeal]:
     """Witnesses for every achievable regularity with the Hilbert function of
     I: r -> a monomial ideal of regularity exactly r, for r from reg(I) (the
     caller asserts the input realizes the minimum) up to reg(Lex(I)).
 
-    Every witness is verified to have regularity exactly r via its stable
-    Betti diagram.
+    Everything past reg(I) comes from H alone: Lex(I) ends where H says
+    (see ``lexify``), its regularity is its top generator degree b (EK), and
+    each witness Lex^(r)(I) is built from H(0), ..., H(r + n - 1), read once
+    through degree b + n - 1.  Every witness is verified to have regularity
+    exactly r via its stable Betti diagram.
     """
     if I.is_zero or I.is_unit:
         raise DomainError("need a nonzero, nonunit ideal")
     a = regularity(I, cap)
-    L = lexify(I, max_degree)
-    b = ek_betti(L).regularity()
+    b = lexify(I).max_gen_degree
+    n = I.ring.num_vars
+    values = tuple(I.hilbert(t) for t in range(b + n))
     out: dict[int, MonomialIdeal] = {}
     for r in range(a, b + 1):
-        witness = lexd(I, r, cap)
+        witness = dlex_from_hilbert(HilbertSpec(n, values[:r + n], "ideal"), r)
         got = ek_betti(witness).regularity()
         if got != r:
             raise AssertionError(f"witness for r={r} has regularity {got}")

@@ -15,7 +15,7 @@ import itertools
 from operator import le
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
-from .errors import CapExceeded, DomainError, FormatError, RingMismatch
+from .errors import DomainError, FormatError, RingMismatch
 from .macaulay import binom, up
 from .monomials import (
     DEFAULT_ENUMERATION_CAP,
@@ -310,13 +310,18 @@ def lex_layers(ring: GroundRing, sizes: Iterable[int]) -> Iterator[tuple[Monomia
         prev = size
 
 
-def lexify(I: MonomialIdeal, max_degree: int = 64) -> MonomialIdeal:
+def lexify(I: MonomialIdeal) -> MonomialIdeal:
     """The unique lexsegment ideal with the Hilbert function of I.
 
-    Built degree by degree by ``lex_layers`` from H(I, t).  Iteration stops
-    at the first degree past the max generator degree of I that adds no
-    generators; Gotzmann persistence then rules out generators in any
-    higher degree.
+    Built degree by degree by ``lex_layers`` from H(I, t), t = 1, 2, ...,
+    up to the first degree t past the max generator degree g of I that adds
+    no generators.  That stop is exact: an empty layer t means H(I, t) is
+    the span up(H(I, t - 1), n - 1) of the slice below, and with I
+    generated in degrees <= t - 1, Gotzmann persistence (Bruns-Herzog,
+    Cohen-Macaulay Rings, 4.3) makes every later slice the span of the
+    previous one, so no layer past t adds a generator.  The loop always
+    ends: Lex(I) is finitely generated, so every layer past both g and its
+    top generator degree is empty.
     """
     if I.is_unit:
         raise DomainError("the unit ideal has no lexsegment companion here")
@@ -324,15 +329,10 @@ def lexify(I: MonomialIdeal, max_degree: int = 64) -> MonomialIdeal:
         return I
     g = I.max_gen_degree
     gens: list[Monomial] = []
-    sizes = map(I.hilbert, range(1, max_degree + 2))
-    for t, new in enumerate(lex_layers(I.ring, sizes), start=1):
+    for t, new in enumerate(lex_layers(I.ring, map(I.hilbert, itertools.count(1))), start=1):
         if t > g and not new:
             return MonomialIdeal(I.ring, gens)
         gens.extend(new)
-    raise CapExceeded(
-        f"lexsegment ideal not stabilized by degree {max_degree} "
-        f"(partial result has generators through degree {gens[-1].degree if gens else 0})"
-    )
 
 
 def sq_prefix(ring: GroundRing, degree: int, size: int) -> tuple[Monomial, ...]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .betti import ahh_betti
 from .dlex import LSequence, dlinear_lex_from_l, regularity
 from .errors import CapExceeded, DomainError, FormatError
-from .ideals import MonomialIdeal, sq_lex_generators, sq_lexify
+from .ideals import MonomialIdeal, sq_lex_generators
 from .macaulay import binom
 from .monomials import DEFAULT_ENUMERATION_CAP, GroundRing, Monomial
 
@@ -169,40 +169,49 @@ def sq_lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Mon
     squarefree ideal I of regularity <= d: squarefree lex prefixes below
     degree d plus the d-linear squarefree lexsegment part with the counts
     recovered from I's squarefree slice sizes."""
-    if not I.is_squarefree:
-        raise DomainError("sq_lexd needs a squarefree monomial ideal")
-    if I.is_zero or I.is_unit:
-        raise DomainError("need a nonzero, nonunit ideal")
+    _require_proper_squarefree(I)
     n = I.ring.num_vars
     if not 1 <= d <= n:
         raise DomainError(f"d must lie in 1..{n}")
     r = regularity(I, cap)
     if r > d:
         raise DomainError(f"reg(I) = {r} exceeds d = {d}")
-    counts = _sq_counts(I)
-    low = MonomialIdeal(I.ring, sq_lex_generators(I.ring, counts[1:d]))
-    J = low + sq_dlinear_from_l_star(_l_star_from_counts(counts, n, d), I.ring)
+    return _sq_lexd_from_counts(I.ring, _sq_counts(I), d)
+
+
+def _require_proper_squarefree(I: MonomialIdeal) -> None:
+    if not I.is_squarefree:
+        raise DomainError("need a squarefree monomial ideal")
+    if I.is_zero or I.is_unit:
+        raise DomainError("need a nonzero, nonunit ideal")
+
+
+def _sq_lexd_from_counts(ring: GroundRing, counts: list[int], d: int) -> MonomialIdeal:
+    """The squarefree d-lexsegment ideal whose squarefree member counts per
+    degree 0..n are ``counts``."""
+    n = ring.num_vars
+    low = MonomialIdeal(ring, sq_lex_generators(ring, counts[1:d]))
+    J = low + sq_dlinear_from_l_star(_l_star_from_counts(counts, n, d), ring)
     for t in range(n + 1):
         if len(J.squarefree_slice(t)) != counts[t]:
             raise AssertionError(f"constructed ideal misses the squarefree count at degree {t}")
     return J
 
 
-def sq_regularity_range(
-    I: MonomialIdeal,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> dict[int, MonomialIdeal]:
+def sq_regularity_range(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, MonomialIdeal]:
     """Witnesses r -> squarefree ideal of regularity exactly r sharing I's
-    Hilbert function, for r from reg(I) up to reg(SqLex(I))."""
-    if not I.is_squarefree:
-        raise DomainError("need a squarefree monomial ideal")
-    if I.is_zero or I.is_unit:
-        raise DomainError("need a nonzero, nonunit ideal")
+    Hilbert function, for r from reg(I) up to reg(SqLex(I)).
+
+    Everything past reg(I) comes from the squarefree member counts alone,
+    read once: SqLex(I)'s generators come from them, its regularity is its
+    top generator degree b (AHH), and each witness is built from them too."""
+    _require_proper_squarefree(I)
     a = regularity(I, cap)
-    b = ahh_betti(sq_lexify(I)).regularity()
+    counts = _sq_counts(I)
+    b = max(g.degree for g in sq_lex_generators(I.ring, counts[1:]))
     out: dict[int, MonomialIdeal] = {}
     for r in range(a, b + 1):
-        witness = sq_lexd(I, r, cap)
+        witness = _sq_lexd_from_counts(I.ring, counts, r)
         got = ahh_betti(witness).regularity()
         if got != r:
             raise AssertionError(f"witness for r={r} has regularity {got}")

@@ -217,6 +217,14 @@ class TestRanges:
             assert ek_betti(J).regularity() == r
             assert all(J.hilbert(t) == I.hilbert(t) for t in range(r + 7))
 
+    @pytest.mark.parametrize("verb", ["lex", "reg-range"])
+    def test_max_degree_flag_is_gone(self, capsys, running, verb):
+        # Lex(I) ends where its Hilbert function says; there is no cap to set
+        with pytest.raises(SystemExit) as exc:
+            main([verb, running, "--max-degree", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-degree 4" in capsys.readouterr().err
+
     def test_sq_reg_range(self, capsys, tmp_path):
         path = tmp_path / "s4.ideal"
         path.write_text(SECTION4)
@@ -307,6 +315,19 @@ class TestComplexVerbs:
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "complex", "cm", "/nonexistent.cx")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fvec", "--json", "FILE"], ["fvec", "FILE", "--json"], ["--json", "fvec", "FILE"],
+    ])
+    def test_file_before_or_after_options(self, capsys, triangle, argv):
+        code, out, _ = run(capsys, "complex", *(triangle if a == "FILE" else a for a in argv))
+        assert code == 0 and json.loads(out) == {"f": [3, 3]}
+
+    def test_missing_input_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["complex", "fvec"])
+        assert exc.value.code == 2
+        assert "required: input" in capsys.readouterr().err
 
 
 class TestCapFlag:

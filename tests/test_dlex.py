@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from dreglex import dlex
 from dreglex.betti import ek_betti
 from dreglex.dlex import (
     LSequence,
@@ -566,6 +567,27 @@ class TestRegularityRange:
     def test_regularity_helper(self):
         assert regularity(RUNNING) == 3
         assert regularity(ideal(R4, "x1*x2*x3")) == 3
+
+    def test_matches_per_witness_lexd(self):
+        # the range builds every witness from one read of H; lexd, which
+        # recomputes reg(I) and H for each r, is the reference
+        rng = random.Random(611)
+        checked = 0
+        for _ in range(25):
+            I = random_monomial_ideal(rng, rng.randint(2, 5), 3, count=2)
+            if I.is_zero or I.is_unit:
+                continue
+            for r, J in regularity_range(I).items():
+                assert J == lexd(I, r), (I, r)
+                checked += 1
+        assert checked >= 60
+
+    def test_regularity_computed_once(self, monkeypatch):
+        calls = []
+        real = dlex.betti_auto
+        monkeypatch.setattr(dlex, "betti_auto", lambda *a: calls.append(a) or real(*a))
+        assert sorted(regularity_range(RUNNING)) == [3, 4, 5, 6]
+        assert len(calls) == 1
 
 
 def prefix_scan(ring, degree, size, k):

@@ -35,6 +35,7 @@ from tests.conftest import (
     random_stable_ideal,
     random_strongly_stable_ideal,
 )
+from tests.test_dlex import prefix_scan_lexify
 
 R2 = GroundRing(2)
 R4 = GroundRing(4)
@@ -339,9 +340,13 @@ class TestLexify:
                     seen.add(verdict)
         assert seen == {True, False}
 
-    def test_degree_cap(self):
-        with pytest.raises(CapExceeded):
-            lexify(ideal(R4, "x1*x2", "x3*x4"), max_degree=4)
+    def test_ends_where_hilbert_function_says(self):
+        # no degree cap: Lex(I) here ends in degree 81
+        I = ideal(GroundRing(3), "x1^9", "x2^9")
+        L = lexify(I)
+        assert L.max_gen_degree == 81
+        assert len(L.gens) == 130
+        assert L == prefix_scan_lexify(I)
 
     def test_unit_rejected(self):
         with pytest.raises(DomainError):

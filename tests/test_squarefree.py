@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from dreglex import dlex, squarefree
 from dreglex.betti import ahh_betti, ek_betti
 from dreglex.dlex import l_sequence
 from dreglex.errors import DomainError, FormatError
@@ -287,6 +288,28 @@ class TestSqRegularityRange:
     def test_single_edge(self):
         I = ideal(R2, "x1*x2")
         assert sorted(sq_regularity_range(I)) == [2]
+
+    def test_matches_per_witness_sq_lexd(self):
+        # the range builds every witness from one read of the squarefree
+        # counts; sq_lexd, which recomputes reg(I) and the counts, is the reference
+        rng = random.Random(613)
+        checked = 0
+        for _ in range(60):
+            I = random_squarefree_ideal(rng, rng.randint(3, 7), 4)
+            if I.is_zero or I.is_unit:
+                continue
+            for r, J in sq_regularity_range(I).items():
+                assert J == sq_lexd(I, r), (I, r)
+                checked += 1
+        assert checked >= 60
+
+    def test_regularity_and_counts_computed_once(self, monkeypatch):
+        calls = []
+        real_auto, real_counts = dlex.betti_auto, squarefree._sq_counts
+        monkeypatch.setattr(dlex, "betti_auto", lambda *a: calls.append("reg") or real_auto(*a))
+        monkeypatch.setattr(squarefree, "_sq_counts", lambda I: calls.append("counts") or real_counts(I))
+        assert sorted(sq_regularity_range(SECTION4)) == [3, 4, 5]
+        assert calls == ["reg", "counts"]
 
 
 class TestComplexBasics:
