@@ -12,11 +12,16 @@ Combinatorial Commutative Algebra, Thm 1.34).  Off the lcm lattice some support
 position is slack for every generator dividing x^a, so K^a(I) is a cone and the
 block is exact; visiting the lattice alone is lossless.  The same slack masks
 decide standardness: x^(a - e_F) lies in I iff F is a subset of
-{k : g_k < a_k} for some generator g dividing x^a.
+{k : g_k < a_k} for some generator g dividing x^a.  Each block keeps its
+faces as one integer bitset of 2^s bits (bit m for the face with mask m, s the
+support size): the slack masks set their bits, s shift-ors close the set
+under taking subsets, and the standard faces are the zero bits left over,
+grouped by size with per-size bitsets.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 
 from .betti import BettiDiagram
@@ -55,6 +60,32 @@ def exact_rank(rows: list[list[int]]) -> int:
     return rank
 
 
+@functools.cache
+def _face_tables(s: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Bitsets over the 2^s faces of an s-element support, bit m standing for
+    the face with mask m: (full, has, by_size) with full all faces, has[pos]
+    the faces containing pos, by_size[i] the faces with i elements."""
+    if not s:
+        return 1, (), (1,)
+    full, has, by_size = _face_tables(s - 1)
+    # the masks below half are the faces without pos s - 1; adding it shifts
+    # a face up by half and its size up by one
+    half = 1 << (s - 1)
+    return (
+        full | full << half,
+        tuple(h | h << half for h in has) + (full << half,),
+        tuple(lo | hi << half for lo, hi in zip(by_size + (0,), (0,) + by_size)),
+    )
+
+
+def _down_closure(faces: int, has: tuple[int, ...]) -> int:
+    """The face bitset `faces` closed under taking subsets: one shift-or per
+    support position drops that position from every face containing it."""
+    for pos, h in enumerate(has):
+        faces |= (faces & h) >> (1 << pos)
+    return faces
+
+
 def _block_betti(gens: tuple[tuple[int, ...], ...], a: tuple[int, ...]) -> dict[int, int]:
     """Homology dimensions of the Koszul strand at one multidegree.
 
@@ -63,22 +94,27 @@ def _block_betti(gens: tuple[tuple[int, ...], ...], a: tuple[int, ...]) -> dict[
     """
     supp = [k for k, e in enumerate(a) if e]
     s = len(supp)
+    full, has, by_size = _face_tables(s)
     # bit pos of slack(g) is set iff g leaves room at supp[pos]; a face mask
-    # is non-standard iff it is a submask of some generator's slack mask
-    slacks = [
-        sum(1 << pos for pos, k in enumerate(supp) if g[k] < a[k])
-        for g in gens
-        if all(map(operator.le, g, a))
-    ]
-    std = [all(mask & ~sl for sl in slacks) for mask in range(1 << s)]
-    bases: list[list[int]] = [[] for _ in range(s + 1)]
-    for mask in range(1 << s):
-        if std[mask]:
-            bases[bin(mask).count("1")].append(mask)
+    # is non-standard iff it is a submask of some generator's slack mask, so
+    # the non-standard faces are the down-closure of the slack masks' bits
+    ns = 0
+    for g in gens:
+        if all(map(operator.le, g, a)):
+            ns |= 1 << sum(1 << pos for pos, k in enumerate(supp) if g[k] < a[k])
+    std = full & ~_down_closure(ns, has)
+    bases: list[list[int]] = []
     index = {}
-    for i, basis in enumerate(bases):
-        for col, mask in enumerate(basis):
-            index[mask] = col
+    for size in by_size:
+        basis = []
+        bits = std & size
+        while bits:
+            low = bits & -bits
+            mask = low.bit_length() - 1
+            index[mask] = len(basis)
+            basis.append(mask)
+            bits ^= low
+        bases.append(basis)
 
     def differential(i: int) -> list[list[int]]:
         # rows: basis in index i-1, cols: basis in index i
@@ -88,7 +124,7 @@ def _block_betti(gens: tuple[tuple[int, ...], ...], a: tuple[int, ...]) -> dict[
             for pos in range(s):
                 if mask >> pos & 1:
                     face = mask & ~(1 << pos)
-                    if std[face]:
+                    if std >> face & 1:
                         rows[index[face]][col] += sign
                     sign = -sign
         return rows
@@ -109,13 +145,13 @@ def _block_betti(gens: tuple[tuple[int, ...], ...], a: tuple[int, ...]) -> dict[
     return out
 
 
-def _lcm_lattice(gens: tuple[tuple[int, ...], ...], cap: int) -> list[tuple[int, ...]]:
-    lattice = {tuple(0 for _ in gens[0])}
+def _lcm_lattice(gens: tuple[tuple[int, ...], ...], cap: int) -> set[tuple[int, ...]]:
+    lattice = {(0,) * len(gens[0])}
     for g in gens:
-        lattice |= {tuple(max(x, y) for x, y in zip(m, g)) for m in lattice}
+        lattice |= {tuple(map(max, m, g)) for m in lattice}
         if len(lattice) > cap:
             raise CapExceeded(f"lcm lattice exceeds the cap of {cap} multidegrees")
-    return sorted(lattice, key=lambda a: (sum(a), a))
+    return lattice
 
 
 def koszul_betti(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> BettiDiagram:

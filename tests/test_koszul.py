@@ -1,7 +1,9 @@
 """The exact Betti oracle: strand ranks, agreement with an exhaustive
-box scan, with Hochster's formula and with the closed forms."""
+box scan, with a per-face slack scan, with Hochster's formula and with the
+closed forms."""
 
 import itertools
+import operator
 import random
 
 import pytest
@@ -9,7 +11,8 @@ import pytest
 from dreglex.betti import BettiDiagram, ahh_betti, ek_betti
 from dreglex.errors import DomainError
 from dreglex.ideals import MonomialIdeal
-from dreglex.koszul import exact_rank, koszul_betti
+import dreglex.koszul
+from dreglex.koszul import _block_betti, _down_closure, _face_tables, _lcm_lattice, exact_rank, koszul_betti
 from dreglex.monomials import GroundRing, Monomial, parse_monomial
 from tests.conftest import (
     random_monomial_ideal,
@@ -259,3 +262,121 @@ class TestBoxScanCrossCheck:
     def test_known_small_case(self):
         # the same diagram as TestOracleBasics.test_regular_sequence
         assert box_scan_betti(ideal(R4, "x1*x2", "x3*x4")).entries == {(0, 2): 2, (1, 4): 1}
+
+
+def slack_scan_block_betti(gens, a):
+    """Reference for one Koszul block: every face mask of supp(a) is tested
+    against every generator's slack mask in turn, with no bitsets."""
+    supp = [k for k, e in enumerate(a) if e]
+    s = len(supp)
+    slacks = [
+        sum(1 << pos for pos, k in enumerate(supp) if g[k] < a[k])
+        for g in gens
+        if all(map(operator.le, g, a))
+    ]
+    std = [all(mask & ~sl for sl in slacks) for mask in range(1 << s)]
+    bases = [[mask for mask in range(1 << s) if std[mask] and bin(mask).count("1") == i] for i in range(s + 1)]
+    ranks = [0] * (s + 2)
+    for i in range(1, s + 1):
+        rows = {mask: r for r, mask in enumerate(bases[i - 1])}
+        matrix = [[0] * len(bases[i]) for _ in bases[i - 1]]
+        for col, mask in enumerate(bases[i]):
+            sign = 1
+            for pos in range(s):
+                if mask >> pos & 1:
+                    face = mask & ~(1 << pos)
+                    if face in rows:
+                        matrix[rows[face]][col] += sign
+                    sign = -sign
+        ranks[i] = exact_rank(matrix)
+    out = {}
+    for i in range(s + 1):
+        homology = len(bases[i]) - ranks[i] - ranks[i + 1]
+        assert homology >= 0
+        if homology:
+            out[i] = homology
+    return out
+
+
+class TestBlockBitsets:
+    def test_face_tables_match_definition(self):
+        for s in range(11):
+            full, has, by_size = _face_tables(s)
+            assert full == (1 << (1 << s)) - 1
+            assert len(has) == s and len(by_size) == s + 1
+            for m in range(1 << s):
+                for pos in range(s):
+                    assert has[pos] >> m & 1 == m >> pos & 1
+                for i in range(s + 1):
+                    assert by_size[i] >> m & 1 == (bin(m).count("1") == i)
+
+    def test_down_closure_is_all_submasks(self):
+        rng = random.Random(101)
+        for s in range(11):
+            _, has, _ = _face_tables(s)
+            for _ in range(8):
+                masks = [rng.randrange(1 << s) for _ in range(rng.randint(1, 5))]
+                closed = _down_closure(sum(1 << m for m in set(masks)), has)
+                expected = sum(1 << m for m in range(1 << s) if any(not m & ~sl for sl in masks))
+                assert closed == expected, (s, masks)
+
+    def test_block_betti_matches_slack_scan(self):
+        """Blocks in 5-10 variables, at every lcm-lattice point and at random
+        points of the box below lcm + 1; off the lattice a block is exact.
+        The box-scan and Hochster cross-checks stop at 4 and 5 variables, so
+        only this test reaches support positions past 4."""
+        rng = random.Random(103)
+        widest = 0
+        for _ in range(30):
+            n = rng.randint(5, 10)
+            I = random_monomial_ideal(rng, n, 4, count=rng.randint(2, 6))
+            if I.is_unit:
+                continue
+            gens = tuple(g.exponents for g in I.gens)
+            lattice = _lcm_lattice(gens, 10**4)
+            top = [max(col) + 1 for col in zip(*gens)]
+            off = [tuple(rng.randint(0, t) for t in top) for _ in range(10)]
+            for a in sorted(lattice) + off:
+                got = _block_betti(gens, a)
+                assert got == slack_scan_block_betti(gens, a), (I, a)
+                if a not in lattice:
+                    assert got == {}, (I, a)
+                widest = max(widest, sum(1 for e in a if e))
+        assert widest >= 9
+
+
+class TestWorkPinned:
+    """The exact_rank calls and matrix cells of two oracle runs, recorded from
+    the per-face scan that the bitset block setup replaced: the same blocks
+    and the same matrices.  exact_rank is patched through its module global,
+    the name the bench tracer wraps."""
+
+    @pytest.mark.parametrize(
+        "n, gens, calls, cells",
+        [
+            (8, [f"x{i}*x{i % 8 + 1}" for i in range(1, 9)], 236, 6848),
+            (5, ["x1^3", "x1^2*x2", "x1*x2*x3", "x2^2*x4", "x1*x3*x5", "x2*x3^2",
+                 "x3*x4*x5", "x1*x4^2", "x2*x5^2", "x4^3", "x3^2*x5", "x1*x2*x5"], 202, 1102),
+        ],
+        ids=["8-cycle", "one-degree-n5-d3"],
+    )
+    def test_exact_rank_calls_and_cells(self, monkeypatch, n, gens, calls, cells):
+        seen = []
+
+        def counting(rows):
+            seen.append(len(rows) * (len(rows[0]) if rows else 0))
+            return exact_rank(rows)
+
+        monkeypatch.setattr(dreglex.koszul, "exact_rank", counting)
+        koszul_betti(ideal(GroundRing(n), *gens))
+        assert (len(seen), sum(seen)) == (calls, cells)
+
+
+def test_twelve_cycle_known_answer():
+    """853 lattice points with supports up to 12: past the bench's lattices.
+    Totals 12 54 124 165 132 58 12 2."""
+    D = koszul_betti(ideal(GroundRing(12), *(f"x{i}*x{i % 12 + 1}" for i in range(1, 13))))
+    assert D.entries == {
+        (0, 2): 12, (1, 3): 12, (1, 4): 42, (2, 5): 84, (2, 6): 40, (3, 6): 42, (3, 7): 120,
+        (3, 8): 3, (4, 8): 120, (4, 9): 12, (5, 9): 40, (5, 10): 18, (6, 11): 12, (7, 12): 2,
+    }
