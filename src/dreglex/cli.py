@@ -16,7 +16,7 @@ from . import __version__
 from .areas import format_area, lex_i_a, parse_area
 from .betti import BettiDiagram, ahh_betti, degreewise_diagram, ek_betti
 from .dlex import betti_auto, characterize, l_sequence, lexd, regularity_range
-from .errors import DregLexError, FormatError
+from .errors import DomainError, DregLexError, FormatError
 from .ideals import MonomialIdeal, format_ideal, lexify, parse_ideal, sq_lexify
 from .koszul import koszul_betti
 from .macaulay import HilbertSpec, format_hilbert, parse_hilbert
@@ -50,7 +50,10 @@ def _load_ideal(args) -> MonomialIdeal:
     if args.gens is not None:
         if args.num_vars is None:
             raise FormatError("--gens needs -n <num_vars>")
-        ring = GroundRing(args.num_vars)
+        try:
+            ring = GroundRing(args.num_vars)
+        except DomainError as exc:
+            raise FormatError(str(exc)) from exc
         parts = [p for p in args.gens.split(",") if p.strip()]
         return MonomialIdeal(ring, (parse_monomial(p, ring) for p in parts))
     if args.input is None:
@@ -257,6 +260,18 @@ def _cmd_complex(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of --cap: a malformed or non-positive cap is a usage
+    error (exit 2), not a cap that every question exceeds."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -268,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, ideal_input=True, cap=False):
         if cap:
-            p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+            p.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUMERATION_CAP,
                            help="enumeration cap (default 10^6)")
         p.add_argument("--json", action="store_true", help="structured output")
         if ideal_input:
@@ -368,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("complex", help="simplicial-complex utilities")
     p.add_argument("action", choices=["fvec", "hvec", "dual", "sr", "cm"])
     p.add_argument("input", help="complex file")
-    p.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUMERATION_CAP)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_complex)
 

@@ -17,6 +17,14 @@ faces as one integer bitset of 2^s bits (bit m for the face with mask m, s the
 support size): the slack masks set their bits, s shift-ors close the set
 under taking subsets, and the standard faces are the zero bits left over,
 grouped by size with per-size bitsets.
+
+Ranks are taken on the critical faces of a one-vertex Morse matching
+(Jollenbeck-Welker, Mem. AMS 923, 2009).  The standard faces form an up-set,
+so for a support position v each standard F without v pairs with F + v; the
+unpaired faces contain v and have F - v non-standard.  They span a
+subcomplex, since dropping v gives zero and dropping any other position
+stays unpaired or non-standard.  The quotient by it is the cone of an
+isomorphism, hence acyclic, so the subcomplex has the block's homology.
 """
 
 from __future__ import annotations
@@ -86,28 +94,23 @@ def _down_closure(faces: int, has: tuple[int, ...]) -> int:
     return faces
 
 
-def _block_betti(gens: tuple[tuple[int, ...], ...], a: tuple[int, ...]) -> dict[int, int]:
-    """Homology dimensions of the Koszul strand at one multidegree.
+def _critical_faces(std: int, ns: int, has: tuple[int, ...]) -> list[int]:
+    """For each support position v, the critical faces of the matching that
+    pairs each standard face F without v with F + v: the standard faces that
+    contain v and whose face without v lies in the down-closed set `ns`."""
+    return [std & h & ns << (1 << v) for v, h in enumerate(has)]
 
-    Returns {i: beta_{i,|a|}(S/I) contribution}; asserts the rank-nullity
-    bookkeeping (kernel >= image) per strand.
-    """
-    supp = [k for k, e in enumerate(a) if e]
-    s = len(supp)
-    full, has, by_size = _face_tables(s)
-    # bit pos of slack(g) is set iff g leaves room at supp[pos]; a face mask
-    # is non-standard iff it is a submask of some generator's slack mask, so
-    # the non-standard faces are the down-closure of the slack masks' bits
-    ns = 0
-    for g in gens:
-        if all(map(operator.le, g, a)):
-            ns |= 1 << sum(1 << pos for pos, k in enumerate(supp) if g[k] < a[k])
-    std = full & ~_down_closure(ns, has)
+
+def _strand_homology(s: int, faces: int) -> dict[int, int]:
+    """Homology dimensions {i: dim} of the chain complex on the face bitset
+    `faces` over an s-element support, index |F|, with d(e_F) the signed
+    faces F - pos that lie in `faces`.  Asserts kernel >= image per index."""
+    _, _, by_size = _face_tables(s)
     bases: list[list[int]] = []
     index = {}
     for size in by_size:
         basis = []
-        bits = std & size
+        bits = faces & size
         while bits:
             low = bits & -bits
             mask = low.bit_length() - 1
@@ -124,7 +127,7 @@ def _block_betti(gens: tuple[tuple[int, ...], ...], a: tuple[int, ...]) -> dict[
             for pos in range(s):
                 if mask >> pos & 1:
                     face = mask & ~(1 << pos)
-                    if std >> face & 1:
+                    if faces >> face & 1:
                         rows[index[face]][col] += sign
                     sign = -sign
         return rows
@@ -139,10 +142,33 @@ def _block_betti(gens: tuple[tuple[int, ...], ...], a: tuple[int, ...]) -> dict[
         kernel = dim - ranks[i]  # rank-nullity for the outgoing differential
         homology = kernel - ranks[i + 1]
         if homology < 0:
-            raise AssertionError(f"negative homology at multidegree {a}, index {i}: image exceeds kernel")
+            raise AssertionError(f"negative homology at index {i} of faces {faces:#x}: image exceeds kernel")
         if homology:
             out[i] = homology
     return out
+
+
+def _block_betti(gens: tuple[tuple[int, ...], ...], a: tuple[int, ...]) -> dict[int, int]:
+    """Homology dimensions of the Koszul strand at one multidegree.
+
+    Returns {i: beta_{i,|a|}(S/I) contribution}, computed on the critical
+    faces of the one-vertex matching with the fewest of them (the lowest
+    position on ties); with an empty support the block keeps its faces.
+    """
+    supp = [k for k, e in enumerate(a) if e]
+    s = len(supp)
+    full, has, _ = _face_tables(s)
+    # bit pos of slack(g) is set iff g leaves room at supp[pos]; a face mask
+    # is non-standard iff it is a submask of some generator's slack mask, so
+    # the non-standard faces are the down-closure of the slack masks' bits
+    ns = 0
+    for g in gens:
+        if all(map(operator.le, g, a)):
+            ns |= 1 << sum(1 << pos for pos, k in enumerate(supp) if g[k] < a[k])
+    ns = _down_closure(ns, has)
+    std = full & ~ns
+    faces = min(_critical_faces(std, ns, has), key=int.bit_count) if s else std
+    return _strand_homology(s, faces) if faces else {}
 
 
 def _lcm_lattice(gens: tuple[tuple[int, ...], ...], cap: int) -> set[tuple[int, ...]]:

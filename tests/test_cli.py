@@ -356,6 +356,32 @@ class TestCapFlag:
         assert "lcm lattice exceeds the cap of 1" in err
 
 
+    @pytest.mark.parametrize("verb", [["betti", "--method", "koszul"], ["complex", "cm"]])
+    @pytest.mark.parametrize("cap", ["0", "-5", "abc"])
+    def test_malformed_cap_is_usage_error(self, capsys, running, verb, cap):
+        with pytest.raises(SystemExit) as exc:
+            main(verb + [running, "--cap", cap])
+        assert exc.value.code == 2
+        assert f"argument --cap: expected a positive integer, got '{cap}'" in capsys.readouterr().err
+
+
+class TestRingSize:
+    """A ring without variables is a format error however it is given."""
+
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_inline_ring_size_exit_2(self, capsys, n):
+        code, out, err = run(capsys, "betti", "--gens", "x1", "-n", n)
+        assert (code, out) == (2, "")
+        assert err == f"format error: ground ring needs at least one variable, got {n}\n"
+
+    def test_file_header_ring_size_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "empty-ring.ideal"
+        path.write_text("n=0\n")
+        code, _, err = run(capsys, "betti", str(path))
+        assert code == 2
+        assert err == "format error: ground ring needs at least one variable, got 0\n"
+
+
 class TestParserReuse:
     def test_parser_built_once(self):
         assert dreglex.cli.build_parser() is dreglex.cli.build_parser()

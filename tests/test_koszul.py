@@ -12,7 +12,16 @@ from dreglex.betti import BettiDiagram, ahh_betti, ek_betti
 from dreglex.errors import DomainError
 from dreglex.ideals import MonomialIdeal
 import dreglex.koszul
-from dreglex.koszul import _block_betti, _down_closure, _face_tables, _lcm_lattice, exact_rank, koszul_betti
+from dreglex.koszul import (
+    _block_betti,
+    _critical_faces,
+    _down_closure,
+    _face_tables,
+    _lcm_lattice,
+    _strand_homology,
+    exact_rank,
+    koszul_betti,
+)
 from dreglex.monomials import GroundRing, Monomial, parse_monomial
 from tests.conftest import (
     random_monomial_ideal,
@@ -344,32 +353,61 @@ class TestBlockBitsets:
                 widest = max(widest, sum(1 for e in a if e))
         assert widest >= 9
 
+    def test_matching_keeps_homology_at_every_vertex(self):
+        """Matching F with F + v for any one position v leaves the homology
+        unchanged: the critical faces of every v, not only the one that
+        _block_betti picks, against all standard faces."""
+        rng = random.Random(107)
+        nonzero = 0
+        for s in range(9):
+            full, has, _ = _face_tables(s)
+            sets = [0, 1] + [
+                _down_closure(sum(1 << rng.randrange(1 << s) for _ in range(rng.randint(2, 6))), has)
+                for _ in range(20)
+            ]
+            for ns in sets:
+                std = full & ~ns
+                expected = _strand_homology(s, std)
+                crits = _critical_faces(std, ns, has)
+                assert len(crits) == s
+                for v, crit in enumerate(crits):
+                    assert not crit & ~(std & has[v]), (s, ns, v)
+                    assert _strand_homology(s, crit) == expected, (s, ns, v)
+                nonzero += bool(expected)
+        assert nonzero >= 40, nonzero
+
 
 class TestWorkPinned:
     """The exact_rank calls and matrix cells of two oracle runs, recorded from
-    the per-face scan that the bitset block setup replaced: the same blocks
-    and the same matrices.  exact_rank is patched through its module global,
-    the name the bench tracer wraps."""
+    the one-vertex matching that ranks only the critical faces.  The lcm
+    lattice sizes are pinned too, so the same blocks are visited; ranking
+    every standard face took all_faces, and each pair must stay strictly
+    below that.
+    exact_rank is patched through its module global, the name the bench
+    tracer wraps."""
 
     @pytest.mark.parametrize(
-        "n, gens, calls, cells",
+        "n, gens, lattice, calls, cells, all_faces",
         [
-            (8, [f"x{i}*x{i % 8 + 1}" for i in range(1, 9)], 236, 6848),
+            (8, [f"x{i}*x{i % 8 + 1}" for i in range(1, 9)], 90, 103, 460, (236, 6848)),
             (5, ["x1^3", "x1^2*x2", "x1*x2*x3", "x2^2*x4", "x1*x3*x5", "x2*x3^2",
-                 "x3*x4*x5", "x1*x4^2", "x2*x5^2", "x4^3", "x3^2*x5", "x1*x2*x5"], 202, 1102),
+                 "x3*x4*x5", "x1*x4^2", "x2*x5^2", "x4^3", "x3^2*x5", "x1*x2*x5"], 224, 15, 23, (202, 1102)),
         ],
         ids=["8-cycle", "one-degree-n5-d3"],
     )
-    def test_exact_rank_calls_and_cells(self, monkeypatch, n, gens, calls, cells):
+    def test_exact_rank_calls_and_cells(self, monkeypatch, n, gens, lattice, calls, cells, all_faces):
         seen = []
 
         def counting(rows):
             seen.append(len(rows) * (len(rows[0]) if rows else 0))
             return exact_rank(rows)
 
+        I = ideal(GroundRing(n), *gens)
+        assert len(_lcm_lattice(tuple(g.exponents for g in I.gens), 10**4)) == lattice
         monkeypatch.setattr(dreglex.koszul, "exact_rank", counting)
-        koszul_betti(ideal(GroundRing(n), *gens))
+        koszul_betti(I)
         assert (len(seen), sum(seen)) == (calls, cells)
+        assert calls < all_faces[0] and cells < all_faces[1]
 
 
 def test_twelve_cycle_known_answer():
@@ -379,4 +417,15 @@ def test_twelve_cycle_known_answer():
     assert D.entries == {
         (0, 2): 12, (1, 3): 12, (1, 4): 42, (2, 5): 84, (2, 6): 40, (3, 6): 42, (3, 7): 120,
         (3, 8): 3, (4, 8): 120, (4, 9): 12, (5, 9): 40, (5, 10): 18, (6, 11): 12, (7, 12): 2,
+    }
+
+
+def test_fourteen_cycle_known_answer():
+    """2627 lattice points with supports up to 14, recorded from the oracle
+    that ranked every standard face.  Totals 14 77 224 392 434 308 140 35 1."""
+    D = koszul_betti(ideal(GroundRing(14), *(f"x{i}*x{i % 14 + 1}" for i in range(1, 15))))
+    assert D.entries == {
+        (0, 2): 14, (1, 3): 14, (1, 4): 63, (2, 5): 126, (2, 6): 98, (3, 6): 63, (3, 7): 294,
+        (3, 8): 35, (4, 8): 294, (4, 9): 140, (5, 9): 98, (5, 10): 210, (6, 11): 140, (7, 12): 35,
+        (8, 14): 1,
     }
