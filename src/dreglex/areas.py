@@ -12,22 +12,13 @@ ideals with the same Hilbert function admitting the area.
 from __future__ import annotations
 
 import re
+from typing import Sequence
 
 from .betti import BettiDiagram, ek_betti
 from .dlex import LSequence, dlinear_lex_from_l, l_sequence_of_set
 from .errors import DomainError, FormatError
 from .ideals import MonomialIdeal
-from .monomials import (
-    DEFAULT_ENUMERATION_CAP,
-    GroundRing,
-    Monomial,
-    MonomialSet,
-    extend,
-    is_strongly_stable,
-    lex_prefix,
-    m_le_k,
-    restrict,
-)
+from .monomials import GroundRing, Monomial, MonomialSet, is_strongly_stable, lex_prefix
 
 MAX_AREA_HEIGHT = 64
 
@@ -190,19 +181,21 @@ def relex_above(V: MonomialSet, r: int) -> MonomialSet:
         raise DomainError("re-lexification needs a strongly stable set")
     if len(V) == 0:
         return V
-    d = V.degree
-    l_v = l_sequence_of_set(V)
-    low_size = len(m_le_k(V, r - 1)) if r - 1 >= 1 else 0
-    W1 = lex_prefix(V.ring, d, low_size, max_var=r - 1)
+    return MonomialSet(V.ring, V.degree, _relex_counts(V.ring, V.degree, l_sequence_of_set(V).entries, r))
+
+
+def _relex_counts(ring: GroundRing, d: int, counts: Sequence[int], r: int) -> tuple[Monomial, ...]:
+    """``relex_above`` on the max-index counts l_1, ..., l_n of a strongly
+    stable degree-d set: the lex prefix of size l_1 + ... + l_{r-1} in
+    x1..x_{r-1} gives the counts below slot r, and the d-linear lexsegment
+    set with those counts and l_r, ..., l_n is the answer."""
     low_counts = [0] * (r - 1)
-    for m in W1:
+    for m in lex_prefix(ring, d, sum(counts[:r - 1]), max_var=r - 1):
         low_counts[m.max_index - 1] += 1
-    entries = tuple(low_counts) + l_v.entries[r - 1:]
-    ideal = dlinear_lex_from_l(LSequence(entries, d), V.ring)
-    return MonomialSet(V.ring, d, ideal.gens)
+    return dlinear_lex_from_l(LSequence(tuple(low_counts) + tuple(counts[r - 1:]), d), ring).gens
 
 
-def lex_i_a(I: MonomialIdeal, area: ExtremalArea, cap: int = DEFAULT_ENUMERATION_CAP) -> MonomialIdeal:
+def lex_i_a(I: MonomialIdeal, area: ExtremalArea) -> MonomialIdeal:
     """The ideal with maximal graded Betti numbers among graded ideals sharing
     I's Hilbert function and admitting the semi-convex area.
 
@@ -226,33 +219,29 @@ def lex_i_a(I: MonomialIdeal, area: ExtremalArea, cap: int = DEFAULT_ENUMERATION
     if not admits(diagram, area):
         raise DomainError("the ideal does not admit the area")
     top = min(area.top_points())  # smallest homological index
-    return _construct_with_top(I, area, top, cap)
+    return _construct_with_top(I, area, top)
 
 
-def _construct_with_top(
-    I: MonomialIdeal,
-    area: ExtremalArea,
-    top: tuple[int, int],
-    cap: int = DEFAULT_ENUMERATION_CAP,
-) -> MonomialIdeal:
+def _construct_with_top(I: MonomialIdeal, area: ExtremalArea, top: tuple[int, int]) -> MonomialIdeal:
     """The degreewise construction relative to one chosen top corner; the
-    result is provably independent of the choice, which the tests verify."""
+    result is provably independent of the choice, which the tests verify.
+    Each degree needs only the counts of I's members by max index, read off
+    the numerators of the ideals I_q (``MonomialIdeal.count``)."""
+    n = I.ring.num_vars
     j_r = top[1]
     j_1 = area.max_j
     parts: list[Monomial] = []
     for j in range(1, j_1 + 1):
-        p_j = area.p_profile(j)
-        members = [m for m in I.degree_slice(j, cap) if m.max_index <= p_j + 1]
-        if not members:
+        q = area.p_profile(j) + 1
+        cumulative = [I.count(j, k) for k in range(q + 1)]
+        if not cumulative[q]:
             continue
-        sub = GroundRing(p_j + 1)
-        V = MonomialSet(sub, j, (restrict(m, p_j + 1) for m in members))
         if j < j_r:
-            L = lex_prefix(sub, j, len(V))
-        else:
-            p_next = area.p_profile(j + 1) if j + 1 <= j_1 else -1
-            if p_next + 1 > p_j:
-                raise AssertionError("semi-convex profile must step down by at most one above the top corner")
-            L = relex_above(V, p_next + 3)
-        parts.extend(extend(m, I.ring.num_vars) for m in L)
+            parts.extend(lex_prefix(I.ring, j, cumulative[q], max_var=q))
+            continue
+        q_next = area.p_profile(j + 1) + 1
+        if q_next >= q:
+            raise AssertionError("semi-convex profile must step down by at most one above the top corner")
+        counts = [cumulative[k] - cumulative[k - 1] for k in range(1, q + 1)] + [0] * (n - q)
+        parts.extend(_relex_counts(I.ring, j, counts, q_next + 2))
     return MonomialIdeal(I.ring, parts)

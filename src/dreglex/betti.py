@@ -7,18 +7,18 @@ lossless re-indexing beta_{i,j}(S/I) = beta_{i-1,j}(I) with an extra 1 at
 
 Two independent closed forms are provided for each stability class: the
 generator sum over C(max(u)-1, i) resp. C(max(u)-k, i), and the degreewise
-slice-count formulas; they must agree entrywise and the tests enforce it.
+formulas in the counts |M_{<=q}(I, k)| of members by max index, read off the
+Hilbert-series numerators of the ideals I_q generated by the generators
+supported on x1..xq; they must agree entrywise and the tests enforce it.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping
 
 from .errors import DomainError
 from .ideals import MonomialIdeal, series_coefficient
 from .macaulay import binom
-from .monomials import DEFAULT_ENUMERATION_CAP
 
 
 class BettiDiagram:
@@ -176,23 +176,17 @@ def _generator_sum(I: MonomialIdeal, squarefree: bool) -> BettiDiagram:
     return BettiDiagram(I.ring.num_vars, entries)
 
 
-def _m_le_counts(I: MonomialIdeal, k: int, squarefree: bool, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple[int, ...]:
+def _m_le_counts(I: MonomialIdeal, k: int, squarefree: bool) -> tuple[int, ...]:
     """Cumulative counts |M_{<=q}(I, k)| (or, squarefree, |M*_{<=q}(I, k)|)
     of the degree-k members (squarefree members) with max index <= q, for
-    q = 0..n; q = 0 counts only the unit monomial, a member only of the unit
-    ideal."""
-
-    def compute() -> tuple[int, ...]:
-        per_max = [0] * (I.ring.num_vars + 1)
-        for m in I.squarefree_slice(k) if squarefree else I.degree_slice(k, cap):
-            per_max[m.max_index] += 1
-        return tuple(itertools.accumulate(per_max))
-
-    return I.memo(("mle", squarefree, k), compute)
+    q = 0..n: the degree-k members of I_q, read off its numerator."""
+    return I.memo(("mle", squarefree, k), lambda: tuple(
+        I.count(k, q, squarefree) for q in range(I.ring.num_vars + 1)
+    ))
 
 
-def bigatti_degreewise(I: MonomialIdeal, i: int, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
-    """The slice-count formula for beta_{i,i+k} of a strongly stable ideal:
+def bigatti_degreewise(I: MonomialIdeal, i: int, k: int) -> int:
+    """The degreewise formula for beta_{i,i+k} of a strongly stable ideal:
 
         dim I_k * C(n-1, i)
         - sum_{q=i}^{n-1} |M_{<=q}(I,k)|   * C(q-1, i-1)
@@ -205,8 +199,8 @@ def bigatti_degreewise(I: MonomialIdeal, i: int, k: int, cap: int = DEFAULT_ENUM
     if not I.is_strongly_stable():
         raise DomainError("the degreewise formula needs a strongly stable ideal")
     n = I.ring.num_vars
-    cur = _m_le_counts(I, k, False, cap)
-    below = _m_le_counts(I, k - 1, False, cap)
+    cur = _m_le_counts(I, k, False)
+    below = _m_le_counts(I, k - 1, False)
     value = cur[n] * binom(n - 1, i)
     value -= sum(cur[q] * binom(q - 1, i - 1) for q in range(i, n))
     value -= sum(below[q] * binom(q - 1, i) for q in range(i + 1, n + 1))
@@ -214,7 +208,7 @@ def bigatti_degreewise(I: MonomialIdeal, i: int, k: int, cap: int = DEFAULT_ENUM
 
 
 def sq_degreewise(I: MonomialIdeal, i: int, k: int) -> int:
-    """The squarefree slice-count formula for beta_{i,i+k} of a squarefree
+    """The squarefree degreewise formula for beta_{i,i+k} of a squarefree
     strongly stable ideal:
 
         |M*(I,k)| * C(n-k, i)
@@ -240,16 +234,18 @@ def sq_degreewise(I: MonomialIdeal, i: int, k: int) -> int:
     return value
 
 
-def degreewise_diagram(I: MonomialIdeal, squarefree: bool = False, cap: int = DEFAULT_ENUMERATION_CAP) -> BettiDiagram:
+def degreewise_diagram(I: MonomialIdeal, squarefree: bool = False) -> BettiDiagram:
     """Assemble a full diagram from the degreewise formulas over the range the
     closed forms can support (k up to the max generator degree, i up to n-1)."""
+    if I.is_unit:
+        raise DomainError("the unit ideal is outside the degreewise formulas")
     if I.is_zero:
         return BettiDiagram(I.ring.num_vars, {})
     n = I.ring.num_vars
     entries = {}
     for k in range(1, I.max_gen_degree + 1):
         for i in range(n):
-            v = sq_degreewise(I, i, k) if squarefree else bigatti_degreewise(I, i, k, cap)
+            v = sq_degreewise(I, i, k) if squarefree else bigatti_degreewise(I, i, k)
             if v < 0:
                 raise DomainError(f"degreewise formula went negative at (i={i}, k={k}); precondition violated")
             if v:

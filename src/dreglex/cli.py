@@ -118,9 +118,9 @@ def _cmd_betti(args) -> int:
     elif method == "ahh":
         D = ahh_betti(I)
     elif method == "degreewise":
-        D = degreewise_diagram(I, squarefree=False, cap=args.cap)
+        D = degreewise_diagram(I, squarefree=False)
     elif method == "sq-degreewise":
-        D = degreewise_diagram(I, squarefree=True, cap=args.cap)
+        D = degreewise_diagram(I, squarefree=True)
     else:
         D = koszul_betti(I, cap=args.cap)
     _emit_diagram(D, args)
@@ -234,7 +234,7 @@ def _cmd_area(args) -> int:
 def _cmd_lexarea(args) -> int:
     I = _load_ideal(args)
     area = parse_area(args.area)
-    _emit_ideal(lex_i_a(I, area, args.cap), args)
+    _emit_ideal(lex_i_a(I, area), args)
     return 0
 
 
@@ -281,10 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dreglex {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def add_cap(p):
+        p.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUMERATION_CAP,
+                       help="cap on the Koszul oracle's lcm lattice, in multidegrees (default 10^6)")
+
     def common(p, ideal_input=True, cap=False):
         if cap:
-            p.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUMERATION_CAP,
-                           help="enumeration cap (default 10^6)")
+            add_cap(p)
         p.add_argument("--json", action="store_true", help="structured output")
         if ideal_input:
             p.add_argument("input", nargs="?", help="input file")
@@ -305,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["auto", "ek", "ahh", "degreewise", "sq-degreewise", "koszul"],
         default="auto",
         help="ek/ahh: generator-sum closed forms; degreewise/sq-degreewise: "
-        "slice-count formulas; koszul: the exact oracle; auto picks the "
+        "max-index count formulas; koszul: the exact oracle; auto picks the "
         "cheapest valid closed form else the oracle",
     )
     p.add_argument("--triples", action="store_true", help="one (i, j, value) per line")
@@ -376,14 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_area)
 
     p = sub.add_parser("lexarea", help="maximal-Betti ideal for a semi-convex area")
-    common(p, cap=True)
+    common(p)
     p.add_argument("--area", required=True, help='corner list "(i,j);(i,j);..."')
     p.set_defaults(func=_cmd_lexarea)
 
     p = sub.add_parser("complex", help="simplicial-complex utilities")
     p.add_argument("action", choices=["fvec", "hvec", "dual", "sr", "cm"])
     p.add_argument("input", help="complex file")
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUMERATION_CAP)
+    add_cap(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_complex)
 

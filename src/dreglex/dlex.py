@@ -258,6 +258,8 @@ def lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Monomi
     exactly when reg(I) <= d."""
     if I.is_zero or I.is_unit:
         raise DomainError("need a nonzero, nonunit ideal")
+    if d < 1:
+        raise DomainError("d must be positive")
     r = regularity(I, cap)
     if r > d:
         raise DomainError(f"reg(I) = {r} exceeds d = {d}")

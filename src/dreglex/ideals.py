@@ -1,17 +1,23 @@
-"""Monomial ideals: minimal generators, exact Hilbert functions, degree slices
+"""Monomial ideals: minimal generators, exact member counts, degree slices
 and truncations, structural predicates, and the two classical lexifications
 (Macaulay's Lex and Kruskal-Katona's SqLex).
 
-Hilbert counting has one engine: the numerator N of the Hilbert series
-N(z) / (1 - z)^n of S/I, computed once per ideal by the pivot recursion
-N(S/I) = N(S/(I + (p))) + z^deg(p) N(S/(I : p)) (Bayer-Stillman 1992,
-Bigatti 1997) and read off with exact binomial sums.  It needs no enumeration
-and no cap.  The stability predicates read the minimal generators only.
+Counting has one engine: the numerator N of the Hilbert series
+N(z) / (1 - z)^q of k[x1..xq]/I_q, with I_q generated by the generators of I
+supported on x1..xq (for squarefree counts only the squarefree ones, since a
+divisor of a squarefree monomial is squarefree).  It is computed once per
+ideal and q by the pivot recursion N(S/I) = N(S/(I + (p))) + z^deg(p)
+N(S/(I : p)) (Bayer-Stillman 1992, Bigatti 1997), and ``MonomialIdeal.count``
+reads every count off it with exact binomial sums: the Hilbert function, the
+counts by max index of the degreewise Betti formulas and Lex(I, A), and the
+squarefree counts of SqLex.  It needs no enumeration and no cap.  The
+stability predicates read the minimal generators only.
 """
 
 from __future__ import annotations
 
 import itertools
+from math import comb
 from operator import le
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
@@ -47,9 +53,9 @@ def minimalize(ring: GroundRing, gens: Iterable[Monomial]) -> tuple[Monomial, ..
 
 def series_coefficient(num_vars: int, numerator: Sequence[int], t: int) -> int:
     """The degree-t coefficient of numerator(z) / (1 - z)^num_vars, the
-    numerator given as coefficients lowest degree first."""
+    numerator given as coefficients lowest degree first; num_vars >= 1."""
     n = num_vars
-    return sum(c * binom(n - 1 + t - k, n - 1) for k, c in enumerate(numerator[: t + 1]))
+    return sum(c * comb(n - 1 + t - k, n - 1) for k, c in enumerate(numerator[: t + 1]))
 
 
 def _numerator(gens: list[tuple[int, ...]]) -> list[int]:
@@ -187,17 +193,34 @@ class MonomialIdeal:
         """dim of the degree-t component of the ideal."""
         if t < 0:
             raise DomainError(f"negative degree {t}")
-        n = self.ring.num_vars
-        return count_monomials(n, t) - series_coefficient(n, self.numerator(), t)
+        return self.count(t)
 
     def hilbert_quotient(self, t: int) -> int:
         """dim of the degree-t component of the quotient ring."""
         return count_monomials(self.ring.num_vars, t) - self.hilbert(t)
 
-    def numerator(self) -> tuple[int, ...]:
-        """Coefficients of N with Hilbert series N(z) / (1 - z)^n of S/I,
-        lowest degree first."""
-        return self.memo("numerator", lambda: tuple(_numerator([g.exponents for g in self.gens])))
+    def count(self, t: int, num_vars: int | None = None, squarefree: bool = False) -> int:
+        """The number of degree-t members of I (squarefree members with
+        ``squarefree``) in the first q = ``num_vars`` variables (default all),
+        read off the numerator N of I_q: C(q + t - 1, t) minus the series
+        coefficient, or C(q, t) - f_{t-1} for the face numbers f of the
+        Stanley-Reisner complex, sum_i f_{i-1} w^i = sum_k N_k w^k (1 + w)^(q - k)."""
+        q = self.ring.num_vars if num_vars is None else num_vars
+        if q == 0:
+            return int(t == 0 and self.is_unit)
+        N = self.numerator(q, squarefree)
+        if squarefree:
+            return binom(q, t) - sum(c * binom(q - k, t - k) for k, c in enumerate(N[: t + 1]))
+        return count_monomials(q, t) - series_coefficient(q, N, t)
+
+    def numerator(self, num_vars: int | None = None, squarefree: bool = False) -> tuple[int, ...]:
+        """Coefficients of N with Hilbert series N(z) / (1 - z)^q of
+        k[x1..xq]/I_q, lowest degree first; q = num_vars (default n)."""
+        q = self.ring.num_vars if num_vars is None else num_vars
+        return self.memo(("numerator", q, squarefree), lambda: tuple(_numerator([
+            e[:q] for e in (g.exponents for g in self.gens)
+            if not any(e[q:]) and not (squarefree and max(e) > 1)
+        ])))
 
     def memo(self, key: Hashable, compute: Callable[[], T]) -> T:
         """The value cached under ``key``, computed by ``compute()`` on the
@@ -263,23 +286,7 @@ class MonomialIdeal:
             raise DomainError(f"negative degree {k}")
         return MonomialIdeal(self.ring, tuple(g for g in self.gens if g.degree <= k))
 
-    # -- squarefree slices -----------------------------------------------------
-
-    def squarefree_slice(self, t: int) -> tuple[Monomial, ...]:
-        """The squarefree degree-t members, lex-descending."""
-        n = self.ring.num_vars
-        if t < 0 or t > n:
-            return ()
-        out = []
-        for supp in itertools.combinations(range(n), t):
-            e = [0] * n
-            for i in supp:
-                e[i] = 1
-            m = Monomial(tuple(e))
-            if self.contains(m):
-                out.append(m)
-        out.sort(key=lambda m: m.exponents, reverse=True)
-        return tuple(out)
+    # -- squarefree stability ------------------------------------------------
 
     def is_squarefree_strongly_stable(self) -> bool:
         """Squarefree, and closed under the squarefree exchanges x_q -> x_p
@@ -374,8 +381,12 @@ def sq_lexify(I: MonomialIdeal) -> MonomialIdeal:
         raise DomainError("sq_lexify needs a squarefree monomial ideal")
     if I.is_zero or I.is_unit:
         return I
-    sizes = (len(I.squarefree_slice(t)) for t in range(1, I.ring.num_vars + 1))
-    return MonomialIdeal(I.ring, sq_lex_generators(I.ring, sizes))
+    return MonomialIdeal(I.ring, sq_lex_generators(I.ring, squarefree_counts(I)[1:]))
+
+
+def squarefree_counts(I: MonomialIdeal) -> tuple[int, ...]:
+    """The squarefree member counts of I in degrees 0..n."""
+    return tuple(I.count(t, squarefree=True) for t in range(I.ring.num_vars + 1))
 
 
 # -- text format ------------------------------------------------------------------

@@ -367,20 +367,6 @@ def m_le_k(V: MonomialSet, k: int) -> MonomialSet:
     return MonomialSet(V.ring, V.degree, (m for m in V if m.max_index <= k))
 
 
-def restrict(m: Monomial, num_vars: int) -> Monomial:
-    """Reinterpret m in the subring on the first num_vars variables."""
-    if m.max_index > num_vars:
-        raise RingMismatch(f"{m} is not supported on x1..x{num_vars}")
-    return Monomial(m.exponents[:num_vars])
-
-
-def extend(m: Monomial, num_vars: int) -> Monomial:
-    """Embed m into a ring with more variables."""
-    if num_vars < m.num_vars:
-        raise RingMismatch(f"cannot shrink {m.num_vars} variables to {num_vars}")
-    return Monomial(m.exponents + (0,) * (num_vars - m.num_vars))
-
-
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .betti import ahh_betti
 from .dlex import LSequence, dlinear_lex_from_l, regularity
 from .errors import CapExceeded, DomainError, FormatError
-from .ideals import MonomialIdeal, sq_lex_generators
+from .ideals import MonomialIdeal, sq_lex_generators, squarefree_counts
 from .macaulay import binom
 from .monomials import DEFAULT_ENUMERATION_CAP, GroundRing, Monomial
 
@@ -128,12 +128,7 @@ def l_star(I: MonomialIdeal) -> LStarSequence:
     return LStarSequence(tuple(counts), d)
 
 
-def _sq_counts(I: MonomialIdeal) -> list[int]:
-    """Squarefree member counts per degree 0..n."""
-    return [len(I.squarefree_slice(t)) for t in range(I.ring.num_vars + 1)]
-
-
-def _l_star_from_counts(counts: list[int], n: int, d: int) -> LStarSequence:
+def _l_star_from_counts(counts: tuple[int, ...], n: int, d: int) -> LStarSequence:
     """Recover the shifted count vector from the squarefree member counts at
     degrees d..n, inverting
         count(d + m) = sum_k l*_k C(n - d + 1 - k, m).
@@ -168,7 +163,7 @@ def sq_lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Mon
     """The unique squarefree d-lexsegment ideal with the Hilbert function of a
     squarefree ideal I of regularity <= d: squarefree lex prefixes below
     degree d plus the d-linear squarefree lexsegment part with the counts
-    recovered from I's squarefree slice sizes."""
+    recovered from I's squarefree member counts."""
     _require_proper_squarefree(I)
     n = I.ring.num_vars
     if not 1 <= d <= n:
@@ -176,7 +171,7 @@ def sq_lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Mon
     r = regularity(I, cap)
     if r > d:
         raise DomainError(f"reg(I) = {r} exceeds d = {d}")
-    return _sq_lexd_from_counts(I.ring, _sq_counts(I), d)
+    return _sq_lexd_from_counts(I.ring, squarefree_counts(I), d)
 
 
 def _require_proper_squarefree(I: MonomialIdeal) -> None:
@@ -186,14 +181,14 @@ def _require_proper_squarefree(I: MonomialIdeal) -> None:
         raise DomainError("need a nonzero, nonunit ideal")
 
 
-def _sq_lexd_from_counts(ring: GroundRing, counts: list[int], d: int) -> MonomialIdeal:
+def _sq_lexd_from_counts(ring: GroundRing, counts: tuple[int, ...], d: int) -> MonomialIdeal:
     """The squarefree d-lexsegment ideal whose squarefree member counts per
     degree 0..n are ``counts``."""
     n = ring.num_vars
     low = MonomialIdeal(ring, sq_lex_generators(ring, counts[1:d]))
     J = low + sq_dlinear_from_l_star(_l_star_from_counts(counts, n, d), ring)
     for t in range(n + 1):
-        if len(J.squarefree_slice(t)) != counts[t]:
+        if J.count(t, squarefree=True) != counts[t]:
             raise AssertionError(f"constructed ideal misses the squarefree count at degree {t}")
     return J
 
@@ -207,7 +202,7 @@ def sq_regularity_range(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) ->
     top generator degree b (AHH), and each witness is built from them too."""
     _require_proper_squarefree(I)
     a = regularity(I, cap)
-    counts = _sq_counts(I)
+    counts = squarefree_counts(I)
     b = max(g.degree for g in sq_lex_generators(I.ring, counts[1:]))
     out: dict[int, MonomialIdeal] = {}
     for r in range(a, b + 1):

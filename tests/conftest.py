@@ -6,6 +6,7 @@ from a fixed seed so failures reproduce.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -118,6 +119,20 @@ def random_squarefree_ideal(rng: random.Random, n: int, dmax: int, count: int = 
         ring,
         (random_squarefree_monomial(rng, n, rng.randint(1, min(dmax, n))) for _ in range(count)),
     )
+
+
+def squarefree_slice(I: MonomialIdeal, t: int) -> tuple[Monomial, ...]:
+    """The squarefree degree-t members of I, lex-descending, by testing each
+    of the C(n, t) supports: the reference for the squarefree counts."""
+    n = I.ring.num_vars
+    if t < 0 or t > n:
+        return ()
+    out = []
+    for supp in itertools.combinations(range(n), t):
+        m = Monomial(tuple(int(i in supp) for i in range(n)))
+        if I.contains(m):
+            out.append(m)
+    return tuple(sorted(out, key=lambda m: m.exponents, reverse=True))
 
 
 @pytest.fixture

@@ -7,6 +7,7 @@ import pytest
 
 from dreglex.areas import (
     ExtremalArea,
+    _construct_with_top,
     admits,
     format_area,
     lex_i_a,
@@ -17,7 +18,7 @@ from dreglex.betti import ahh_betti, ek_betti
 from dreglex.dlex import l_sequence_of_set
 from dreglex.errors import DomainError, FormatError
 from dreglex.ideals import MonomialIdeal
-from dreglex.monomials import GroundRing, MonomialSet, m_le_k, parse_monomial
+from dreglex.monomials import GroundRing, Monomial, MonomialSet, lex_prefix, m_le_k, parse_monomial
 from dreglex.squarefree import phi_tilde
 from tests.conftest import random_strongly_stable_ideal, random_strongly_stable_set
 
@@ -280,6 +281,24 @@ class TestRelexAbove:
             relex_above(V, 5)
 
 
+def slice_construct(I, area, top):
+    """``_construct_with_top`` on the degree slices: the members supported on
+    x1..x_{p_j + 1}, lexified below the top corner and re-lexified by
+    ``relex_above`` from it on."""
+    n = I.ring.num_vars
+    parts = []
+    for j in range(1, area.max_j + 1):
+        q = area.p_profile(j) + 1
+        sub = GroundRing(q)
+        V = MonomialSet(sub, j, (Monomial(m.exponents[:q]) for m in I.degree_slice(j) if m.max_index <= q))
+        if j < top[1]:
+            L = lex_prefix(sub, j, len(V))
+        else:
+            L = relex_above(V, area.p_profile(j + 1) + 3)
+        parts.extend(Monomial(m.exponents + (0,) * (n - q)) for m in L)
+    return MonomialIdeal(I.ring, parts)
+
+
 class TestLexIA:
     def test_section5_example(self):
         L = lex_i_a(COUNTER_I, AREA_B)
@@ -306,6 +325,32 @@ class TestLexIA:
         small = ExtremalArea([(1, 2)])
         with pytest.raises(DomainError):
             lex_i_a(COUNTER_I, small)
+
+    def test_seed_past_the_enumeration_cap(self):
+        # degree 10 in 14 variables has 1 144 066 monomials, above the default
+        # enumeration cap; each degree is built from counts instead
+        I = ideal(GroundRing(14), "x1^3", "x1^2*x2", "x1*x2^2", "x2^10")
+        area = parse_area("(1,10)")
+        L = lex_i_a(I, area)
+        assert admits(ek_betti(L), area)
+        assert all(L.hilbert(t) == I.hilbert(t) for t in range(13))
+        assert lex_i_a(L, area) == L
+
+    def test_matches_slice_construction(self):
+        # the count-level construction against the set-level one it replaced
+        rng = random.Random(241)
+        checked = 0
+        for _ in range(60):
+            I = random_strongly_stable_ideal(rng, rng.randint(2, 5), 4)
+            if I.is_zero:
+                continue
+            area = ExtremalArea([(i, j - i) for (i, j) in ek_betti(I).entries]).conv_hull()
+            if area.max_i > I.ring.num_vars - 1:
+                continue
+            for top in area.top_points():
+                assert _construct_with_top(I, area, top) == slice_construct(I, area, top), (I, area)
+            checked += 1
+        assert checked >= 30
 
     def test_hilbert_preserved_and_betti_dominance(self):
         rng = random.Random(233)
@@ -342,7 +387,6 @@ class TestLexIA:
         """Construction outcome is pinned by the area alone; verified against
         a direct implementation parameterized by each top corner."""
         rng = random.Random(239)
-        from dreglex.areas import _construct_with_top
 
         def check_all_tops(I, area):
             results = {_construct_with_top(I, area, top) for top in area.top_points()}

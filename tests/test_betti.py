@@ -1,12 +1,14 @@
-"""Betti diagrams: the generator-sum formulas, the degreewise slice-count
-formulas, derived scalars, extremal corners, and text output."""
+"""Betti diagrams: the generator-sum formulas, the degreewise formulas in
+the counts by max index, derived scalars, extremal corners, and text output."""
 
+import itertools
 import random
 
 import pytest
 
 from dreglex.betti import (
     BettiDiagram,
+    _m_le_counts,
     ahh_betti,
     bigatti_degreewise,
     degreewise_diagram,
@@ -16,7 +18,13 @@ from dreglex.betti import (
 from dreglex.errors import DomainError
 from dreglex.ideals import MonomialIdeal
 from dreglex.monomials import GroundRing, parse_monomial
-from tests.conftest import random_sq_strongly_stable_ideal, random_strongly_stable_ideal
+from tests.conftest import (
+    random_monomial_ideal,
+    random_sq_strongly_stable_ideal,
+    random_squarefree_ideal,
+    random_strongly_stable_ideal,
+    squarefree_slice,
+)
 
 R4 = GroundRing(4)
 R5 = GroundRing(5)
@@ -131,6 +139,12 @@ class TestDegreewiseFormulas:
                 continue
             assert degreewise_diagram(I) == ek_betti(I)
 
+    def test_seed_past_the_enumeration_cap(self):
+        # degree 10 in 14 variables has 1 144 066 monomials, above the default
+        # enumeration cap; the counts come from numerators instead
+        I = ideal(GroundRing(14), "x1^3", "x1^2*x2", "x1*x2^2", "x2^10")
+        assert degreewise_diagram(I) == ek_betti(I)
+
     def test_sq_values(self):
         I = ideal(R4, "x1*x2*x3", "x1*x2*x4", "x1*x3*x4", "x2*x3*x4")
         assert sq_degreewise(I, 0, 3) == 4
@@ -143,6 +157,34 @@ class TestDegreewiseFormulas:
             if I.is_zero:
                 continue
             assert degreewise_diagram(I, squarefree=True) == ahh_betti(I)
+
+
+def scanned_m_le_counts(I, k, squarefree):
+    """|M_{<=q}(I, k)| for q = 0..n by scanning the degree-k slice."""
+    members = squarefree_slice(I, k) if squarefree else I.degree_slice(k)
+    per_max = [0] * (I.ring.num_vars + 1)
+    for m in members:
+        per_max[m.max_index] += 1
+    return tuple(itertools.accumulate(per_max))
+
+
+class TestCountsByMaxIndex:
+    """The numerator counts against the slice scans they replace."""
+
+    def test_match_slice_scans(self):
+        rng = random.Random(59)
+        ideals = [MonomialIdeal.zero(R4), ideal(R4, "1"), ideal(GroundRing(1), "1")]
+        for _ in range(80):
+            n = rng.randint(1, 8)
+            if rng.random() < 0.5:
+                ideals.append(random_monomial_ideal(rng, n, 4, count=rng.randint(1, 5)))
+            else:
+                ideals.append(random_squarefree_ideal(rng, n, 4, count=rng.randint(1, 5)))
+        assert sum(not I.is_squarefree for I in ideals) > 20
+        for I in ideals:
+            for k in range(6):
+                for squarefree in (False, True):
+                    assert _m_le_counts(I, k, squarefree) == scanned_m_le_counts(I, k, squarefree), (I, k)
 
 
 class TestDerivedScalars:

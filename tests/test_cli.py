@@ -6,6 +6,7 @@ import json
 import pytest
 
 import dreglex.cli
+import dreglex.dlex
 from dreglex.betti import ek_betti
 from dreglex.cli import main
 from dreglex.ideals import MonomialIdeal, parse_ideal
@@ -68,6 +69,13 @@ class TestBetti:
         _, oracle, _ = run(capsys, "betti", "--method", "koszul", "--gens", gens, "-n", "4")
         assert auto == ahh == oracle
 
+    @pytest.mark.parametrize("method", ["degreewise", "sq-degreewise"])
+    def test_degreewise_rejects_unit_ideal(self, capsys, method):
+        # like ek, ahh, koszul and auto: the zero ideal's empty diagram is not the answer
+        code, out, err = run(capsys, "betti", "--method", method, "--gens", "1", "-n", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: the unit ideal is outside the degreewise formulas\n"
+
     def test_triples_and_json(self, capsys, running):
         code, out, _ = run(capsys, "betti", "--method", "koszul", "--triples", running)
         assert code == 0
@@ -117,6 +125,12 @@ class TestLexVerbs:
     def test_reg_too_small_is_domain_error(self, capsys, running):
         code, _, err = run(capsys, "dlex", "-d", "2", running)
         assert code == 1
+
+    @pytest.mark.parametrize("d", ["0", "-3"])
+    def test_nonpositive_d_rejected_before_regularity(self, capsys, monkeypatch, running, d):
+        monkeypatch.setattr(dreglex.dlex, "betti_auto", lambda *a: pytest.fail("reg(I) computed"))
+        code, out, err = run(capsys, "dlex", "-d", d, running)
+        assert (code, out, err) == (1, "", "error: d must be positive\n")
 
     def test_sqdlex(self, capsys, tmp_path):
         path = tmp_path / "s4.ideal"
@@ -331,11 +345,12 @@ class TestComplexVerbs:
 
 
 class TestCapFlag:
-    """--cap is accepted exactly by the verbs that read it."""
+    """--cap is accepted exactly by the verbs that read it: it bounds the
+    Koszul oracle's lcm lattice, and nothing else enumerates under a cap."""
 
     @pytest.mark.parametrize("argv", [
         ["hilb", "-t", "3"], ["lex"], ["sqlex"], ["phi"], ["phi-inv"], ["phi-tilde"], ["lseq"],
-        ["characterize", "-d", "3"],
+        ["characterize", "-d", "3"], ["lexarea", "--area", "(2,4)"],
     ])
     def test_verbs_without_enumeration_reject_cap(self, capsys, running, argv):
         with pytest.raises(SystemExit) as exc:
@@ -345,7 +360,7 @@ class TestCapFlag:
 
     @pytest.mark.parametrize("argv", [
         ["betti"], ["dlex", "-d", "3"], ["sqdlex", "-d", "3"], ["reg-range"], ["sq-reg-range"],
-        ["lexarea", "--area", "(2,4)"], ["complex", "cm"],
+        ["complex", "cm"],
     ])
     def test_reading_verbs_accept_cap(self, argv):
         assert dreglex.cli.build_parser().parse_args(argv + ["in.txt", "--cap", "7"]).cap == 7
@@ -355,6 +370,12 @@ class TestCapFlag:
         assert code == 1
         assert "lcm lattice exceeds the cap of 1" in err
 
+    def test_degreewise_ignores_cap(self, capsys):
+        # the degreewise counts come from numerators, not from enumeration
+        gens = "x1^2,x1*x2,x2^2,x1*x3"
+        code, out, _ = run(capsys, "betti", "--method", "degreewise", "--cap", "1", "--gens", gens, "-n", "3")
+        _, ek, _ = run(capsys, "betti", "--method", "ek", "--gens", gens, "-n", "3")
+        assert code == 0 and out == ek
 
     @pytest.mark.parametrize("verb", [["betti", "--method", "koszul"], ["complex", "cm"]])
     @pytest.mark.parametrize("cap", ["0", "-5", "abc"])

@@ -16,6 +16,7 @@ from dreglex.ideals import (
     lexify,
     parse_ideal,
     sq_lexify,
+    squarefree_counts,
 )
 from dreglex.koszul import koszul_betti
 from dreglex.monomials import (
@@ -34,6 +35,7 @@ from tests.conftest import (
     random_squarefree_ideal,
     random_stable_ideal,
     random_strongly_stable_ideal,
+    squarefree_slice,
 )
 from tests.test_dlex import prefix_scan_lexify
 
@@ -97,7 +99,7 @@ def sq_strongly_stable_by_slices(I):
         lambda m, S: all(
             m.exchange(p, q) in S for q in m.support for p in range(1, q) if p not in m.support
         ),
-        MonomialIdeal.squarefree_slice,
+        squarefree_slice,
     )
 
 
@@ -394,8 +396,8 @@ class TestSqLexify:
             L = sq_lexify(I)
             n = I.ring.num_vars
             for t in range(n + 1):
-                slice_ = L.squarefree_slice(t)
-                assert len(slice_) == len(I.squarefree_slice(t))
+                slice_ = squarefree_slice(L, t)
+                assert len(slice_) == len(squarefree_slice(I, t))
                 # each squarefree slice is an initial segment
                 assert slice_ == sq_prefix(I.ring, t, len(slice_))
             # full Hilbert functions agree as well
@@ -405,6 +407,24 @@ class TestSqLexify:
     def test_non_squarefree_rejected(self):
         with pytest.raises(DomainError):
             sq_lexify(ideal(R4, "x1^2"))
+
+
+class TestSquarefreeCounts:
+    def test_match_squarefree_slice(self):
+        # the f-vector transform of the squarefree generators' numerator
+        # against the scan of all C(n, t) supports
+        rng = random.Random(67)
+        ideals = [MonomialIdeal.zero(R4), ideal(R4, "1"), ideal(R4, "x1^2", "x2^3*x3")]
+        for _ in range(120):
+            n = rng.randint(1, 8)
+            if rng.random() < 0.5:
+                ideals.append(random_monomial_ideal(rng, n, 4, count=rng.randint(1, 6)))
+            else:
+                ideals.append(random_squarefree_ideal(rng, n, 4, count=rng.randint(1, 6)))
+        assert sum(not I.is_squarefree for I in ideals) > 30
+        for I in ideals:
+            n = I.ring.num_vars
+            assert squarefree_counts(I) == tuple(len(squarefree_slice(I, t)) for t in range(n + 1)), I
 
 
 class TestFileFormat:

@@ -305,9 +305,9 @@ class TestSqRegularityRange:
 
     def test_regularity_and_counts_computed_once(self, monkeypatch):
         calls = []
-        real_auto, real_counts = dlex.betti_auto, squarefree._sq_counts
+        real_auto, real_counts = dlex.betti_auto, squarefree.squarefree_counts
         monkeypatch.setattr(dlex, "betti_auto", lambda *a: calls.append("reg") or real_auto(*a))
-        monkeypatch.setattr(squarefree, "_sq_counts", lambda I: calls.append("counts") or real_counts(I))
+        monkeypatch.setattr(squarefree, "squarefree_counts", lambda I: calls.append("counts") or real_counts(I))
         assert sorted(sq_regularity_range(SECTION4)) == [3, 4, 5]
         assert calls == ["reg", "counts"]
 
