@@ -187,6 +187,8 @@ def characterize(H: HilbertSpec, d: int, exact: bool = False) -> Verdict:
     """
     if H.role != "ideal":
         raise DomainError("characterize needs an ideal-side Hilbert specification")
+    if d < 1:
+        raise DomainError("d must be positive")
     n = H.num_vars
     if H.top < d + n - 1:
         raise DomainError(f"need H through degree {d + n - 1}, have {H.top}")
@@ -196,7 +198,7 @@ def characterize(H: HilbertSpec, d: int, exact: bool = False) -> Verdict:
         return Verdict(False, failed_condition="(i)(b)")
     if not is_admissible_l(l):
         return Verdict(False, failed_condition="(i)(a)")
-    if d >= 1 and H.value(d - 1) > l.entries[n - 1]:
+    if H.value(d - 1) > l.entries[n - 1]:
         return Verdict(False, failed_condition="(i)(c)")
     if H.value(0) != 0:
         return Verdict(False, failed_condition="(ii)")

@@ -348,13 +348,10 @@ def sq_prefix(ring: GroundRing, degree: int, size: int) -> tuple[Monomial, ...]:
     if size < 0 or size > binom(n, degree):
         raise DomainError(f"no squarefree lexsegment of size {size} in degree {degree} over {n} variables")
     out = []
-    for supp in itertools.combinations(range(n), degree):
+    for supp in itertools.combinations(range(1, n + 1), degree):
         if len(out) == size:
             break
-        e = [0] * n
-        for i in supp:
-            e[i] = 1
-        out.append(Monomial(tuple(e)))
+        out.append(ring.squarefree(supp))
     return tuple(out)
 
 

@@ -135,12 +135,7 @@ def admissible_quotient(H: HilbertSpec) -> bool:
     down(H(t), t) >= H(t+1) over the supplied range."""
     if H.role != "quotient":
         raise DomainError("admissible_quotient needs a quotient-side specification")
-    if H.values[0] != 1 or H.values[1:2] and H.values[1] > H.num_vars:
-        return False
-    for t in range(1, H.top):
-        if down(H.values[t], t) < H.values[t + 1]:
-            return False
-    return True
+    return is_m_vector(H.values) and max(H.values[1:2], default=0) <= H.num_vars
 
 
 def admissible_ideal(H: HilbertSpec) -> bool:

@@ -48,6 +48,10 @@ class GroundRing:
         e[i - 1] = 1
         return Monomial(tuple(e))
 
+    def squarefree(self, support: Iterable[int]) -> Monomial:
+        """The squarefree monomial with the given 1-based support."""
+        return Monomial(tuple(int(i in support) for i in range(1, self.num_vars + 1)))
+
     def monomial(self, exponents: Iterable[int]) -> Monomial:
         m = Monomial(tuple(exponents))
         if m.num_vars != self.num_vars:

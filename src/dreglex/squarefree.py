@@ -3,16 +3,23 @@ squarefree monomials, transport of the d-linear lexsegment machinery along it,
 squarefree d-lexsegment ideals, simplicial complexes with their f- and
 h-vectors, Alexander duality, the Stanley-Reisner translation, and the
 Eagon-Reiner Cohen-Macaulay test.
+
+Complexes are handled through their Stanley-Reisner ideals, with no vertex
+subset scan and no cap: I_Δ is the intersection of the primes
+P_{[n] - F} = (x_i : i not in F) over the facets F, a vertex set is a face
+iff its squarefree monomial lies outside I_Δ, and the dual complex has the
+ideal (x^{[n] - F} : F facet) (Miller-Sturmfels, Combinatorial Commutative
+Algebra, ch. 1; Eagon-Reiner, JPAA 130, 1998).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .betti import ahh_betti
 from .dlex import LSequence, dlinear_lex_from_l, regularity
-from .errors import CapExceeded, DomainError, FormatError
+from .errors import DomainError, FormatError
 from .ideals import MonomialIdeal, sq_lex_generators, squarefree_counts
 from .macaulay import binom
 from .monomials import DEFAULT_ENUMERATION_CAP, GroundRing, Monomial
@@ -219,8 +226,8 @@ def sq_regularity_range(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) ->
 
 class SimplicialComplex:
     """A simplicial complex on 1..n, stored by its facets.  Ghost vertices are
-    allowed (a vertex need not be a face).  The void complex (no faces at all)
-    and the irrelevant complex (only the empty face) are distinct."""
+    allowed (a vertex need not be a face).  The void complex (not even the
+    empty face) and the irrelevant complex (only the empty face) are distinct."""
 
     __slots__ = ("vertex_count", "facets")
 
@@ -252,22 +259,6 @@ class SimplicialComplex:
             raise DomainError("the void complex has no dimension")
         return max(len(f) for f in self.facets) - 1
 
-    def has_face(self, face) -> bool:
-        f = frozenset(face)
-        return any(f <= g for g in self.facets)
-
-    def faces(self):
-        """All faces, the empty face included (for nonvoid complexes)."""
-        if not self.is_void and self.dim + 1 > 20:
-            raise CapExceeded("face enumeration above 2^20 subsets per facet")
-        seen = set()
-        for f in self.facets:
-            members = sorted(f)
-            for r in range(len(members) + 1):
-                for sub in itertools.combinations(members, r):
-                    seen.add(frozenset(sub))
-        return seen
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, SimplicialComplex)
@@ -282,34 +273,35 @@ class SimplicialComplex:
         body = ", ".join("{" + ",".join(map(str, sorted(f))) + "}" for f in self.facets)
         return f"SimplicialComplex(n={self.vertex_count}, [{body}])"
 
-    def minimal_nonfaces(self):
-        """Inclusion-minimal subsets of the vertex set that are not faces."""
-        if self.vertex_count > 20:
-            raise CapExceeded("minimal non-face scan above 2^20 subsets")
-        out = []
-        vertices = range(1, self.vertex_count + 1)
-        for size in range(self.vertex_count + 1):
-            for cand in itertools.combinations(vertices, size):
-                f = frozenset(cand)
-                if self.has_face(f):
-                    continue
-                if any(nf <= f for nf in out):
-                    continue
-                out.append(f)
-        return out
+
+def _dual_ideal(ring: GroundRing, supports: Iterable[Iterable[int]]) -> MonomialIdeal:
+    """The intersection of the primes (x_i : i in S) over the vertex sets S in
+    ``supports``, the unit ideal when there are none.  A squarefree J meets
+    (x_i : i in S) in its generators that meet S and x_i * g, i in S, for the
+    others g.  Generators are kept as vertex sets, minimalized after each
+    prime so the intermediate antichains stay small."""
+    gens = [frozenset()]
+    for S in map(frozenset, supports):
+        grown = {g for g in gens if g & S} | {g | {i} for g in gens if not g & S for i in S}
+        gens = [g for g in grown if not any(h < g for h in grown)]
+    return MonomialIdeal(ring, map(ring.squarefree, gens))
+
+
+def _complement_complex(I: MonomialIdeal) -> SimplicialComplex:
+    """The complex whose facets are the complements of I's generator supports."""
+    full = frozenset(range(1, I.ring.num_vars + 1))
+    return SimplicialComplex(I.ring.num_vars, (full.difference(g.support) for g in I.gens))
 
 
 def f_vector(complex_: SimplicialComplex) -> tuple[int, ...]:
-    """(f_0, ..., f_{dim}): face counts by dimension.  f_{-1} = 1 is implicit.
-    The void complex has an empty f-vector."""
+    """(f_0, ..., f_{dim}): face counts by dimension, f_{i-1} = C(n, i) minus
+    the squarefree degree-i members of the Stanley-Reisner ideal.
+    f_{-1} = 1 is implicit.  The void complex has an empty f-vector."""
     if complex_.is_void:
         return ()
-    counts: dict[int, int] = {}
-    for f in complex_.faces():
-        if f:
-            counts[len(f) - 1] = counts.get(len(f) - 1, 0) + 1
-    d = complex_.dim
-    return tuple(counts.get(k, 0) for k in range(d + 1))
+    n = complex_.vertex_count
+    I = stanley_reisner(complex_)
+    return tuple(binom(n, i) - I.count(i, squarefree=True) for i in range(1, complex_.dim + 2))
 
 
 def h_vector(complex_: SimplicialComplex) -> tuple[int, ...]:
@@ -326,59 +318,38 @@ def h_vector(complex_: SimplicialComplex) -> tuple[int, ...]:
 
 
 def alexander_dual(complex_: SimplicialComplex) -> SimplicialComplex:
-    """Faces of the dual are complements of non-faces; its facets are the
-    complements of the minimal non-faces.  An involution."""
-    n = complex_.vertex_count
-    full = frozenset(range(1, n + 1))
-    facets = [full - nf for nf in complex_.minimal_nonfaces()]
-    return SimplicialComplex(n, facets)
+    """A set is a face of the dual iff its complement is a non-face; the
+    facets are the complements of the generator supports of the
+    Stanley-Reisner ideal.  An involution."""
+    return _complement_complex(stanley_reisner(complex_))
 
 
 def stanley_reisner(complex_: SimplicialComplex) -> MonomialIdeal:
-    """The ideal generated by the squarefree monomials of the non-faces;
-    minimal generators correspond to minimal non-faces."""
-    ring = GroundRing(complex_.vertex_count)
-    gens = []
-    for nf in complex_.minimal_nonfaces():
-        e = [0] * ring.num_vars
-        for v in nf:
-            e[v - 1] = 1
-        gens.append(Monomial(tuple(e)))
-    return MonomialIdeal(ring, gens)
+    """The ideal spanned by the non-face monomials, the intersection of the
+    primes P_{[n] - F} over the facets F; its minimal generators are the
+    minimal non-face monomials.  The void complex gives the unit ideal."""
+    full = frozenset(range(1, complex_.vertex_count + 1))
+    return _dual_ideal(GroundRing(complex_.vertex_count), (full - f for f in complex_.facets))
 
 
 def complex_from_ideal(I: MonomialIdeal) -> SimplicialComplex:
-    """Inverse of the Stanley-Reisner translation: faces are the squarefree
-    monomials outside the ideal."""
+    """Inverse of the Stanley-Reisner translation: the facets are the
+    complements of the supports of the generators of the Alexander dual
+    ideal, the intersection of the primes of I's generator supports."""
     if not I.is_squarefree:
         raise DomainError("Stanley-Reisner inverse needs a squarefree ideal")
-    n = I.ring.num_vars
-    if n > 20:
-        raise CapExceeded("face scan above 2^20 subsets")
-    supports = [frozenset(g.support) for g in I.gens]
-    faces = []
-    for size in range(n, -1, -1):
-        for cand in itertools.combinations(range(1, n + 1), size):
-            f = frozenset(cand)
-            if any(s <= f for s in supports):
-                continue
-            if any(f <= g for g in faces):
-                continue
-            faces.append(f)
-    return SimplicialComplex(n, faces)
+    return _complement_complex(_dual_ideal(I.ring, (g.support for g in I.gens)))
 
 
 def eagon_reiner_cm(complex_: SimplicialComplex, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
     """Cohen-Macaulayness via the dual ideal: true iff the Stanley-Reisner
-    ideal of the Alexander dual is generated in a single degree d and has
-    regularity d (a d-linear resolution)."""
+    ideal (x^{[n] - F} : F facet) of the Alexander dual is generated in a
+    single degree d and has regularity d (a d-linear resolution)."""
     if complex_.is_void:
         raise DomainError("the void complex has no Cohen-Macaulay verdict here")
-    dual_ideal = stanley_reisner(alexander_dual(complex_))
-    if dual_ideal.is_zero:
-        # the dual is the full simplex: the complex is the void... unreachable,
-        # guarded above; kept for the irrelevant-complex edge
-        raise DomainError("degenerate dual (zero ideal); verdict undefined")
+    ring = GroundRing(complex_.vertex_count)
+    full = frozenset(range(1, ring.num_vars + 1))
+    dual_ideal = MonomialIdeal(ring, (ring.squarefree(full - f) for f in complex_.facets))
     if dual_ideal.is_unit:
         raise DomainError("degenerate dual (unit ideal); verdict undefined")
     d = dual_ideal.max_gen_degree

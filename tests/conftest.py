@@ -135,6 +135,47 @@ def squarefree_slice(I: MonomialIdeal, t: int) -> tuple[Monomial, ...]:
     return tuple(sorted(out, key=lambda m: m.exponents, reverse=True))
 
 
+def faces(complex_) -> set[frozenset[int]]:
+    """All faces of a simplicial complex, the empty face included when it is
+    nonvoid, by listing the subsets of every facet: the reference for the
+    face counts."""
+    return {
+        frozenset(sub)
+        for f in complex_.facets
+        for r in range(len(f) + 1)
+        for sub in itertools.combinations(sorted(f), r)
+    }
+
+
+def minimal_nonfaces(complex_) -> list[frozenset[int]]:
+    """The inclusion-minimal vertex sets that are no face, by scanning all
+    2^n subsets by size: the reference for the Stanley-Reisner generators."""
+    out: list[frozenset[int]] = []
+    for size in range(complex_.vertex_count + 1):
+        for cand in itertools.combinations(range(1, complex_.vertex_count + 1), size):
+            f = frozenset(cand)
+            if not any(f <= g for g in complex_.facets) and not any(nf <= f for nf in out):
+                out.append(f)
+    return out
+
+
+def complex_by_face_scan(I: MonomialIdeal):
+    """The Stanley-Reisner complex of a squarefree ideal by scanning all 2^n
+    vertex sets, largest first, for maximal ones containing no generator
+    support: the reference for ``complex_from_ideal``."""
+    from dreglex.squarefree import SimplicialComplex
+
+    n = I.ring.num_vars
+    supports = [frozenset(g.support) for g in I.gens]
+    facets: list[frozenset[int]] = []
+    for size in range(n, -1, -1):
+        for cand in itertools.combinations(range(1, n + 1), size):
+            f = frozenset(cand)
+            if not any(s <= f for s in supports) and not any(f <= g for g in facets):
+                facets.append(f)
+    return SimplicialComplex(n, facets)
+
+
 @pytest.fixture
 def ring4() -> GroundRing:
     return GroundRing(4)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 
 import pytest
 
@@ -193,6 +194,14 @@ class TestCharacterize:
         code, out, _ = run(capsys, "characterize", "-d", "5", str(path))
         assert out.startswith("admissible")
 
+    @pytest.mark.parametrize("d", ["0", "-2"])
+    def test_nonpositive_d_rejected(self, capsys, tmp_path, running, d):
+        _, spec_text, _ = run(capsys, "hilb", "--through", "6", running)
+        path = tmp_path / "h.spec"
+        path.write_text(spec_text)
+        code, out, err = run(capsys, "characterize", "-d", d, str(path))
+        assert (code, out, err) == (1, "", "error: d must be positive\n")
+
 
 class TestRanges:
     def test_reg_range(self, capsys, running):
@@ -325,6 +334,25 @@ class TestComplexVerbs:
     def test_cm(self, capsys, triangle):
         code, out, _ = run(capsys, "complex", "cm", triangle)
         assert code == 0 and out == "true\n"
+
+    def test_past_the_old_subset_cap(self, capsys, tmp_path):
+        # 20 and 22 vertices: a scan of the 2^n vertex sets takes seconds on
+        # the first and stops above 2^20 subsets on the second
+        boundary = tmp_path / "boundary20.cx"
+        boundary.write_text("vertices=20\n" + "".join(
+            ",".join(str(v) for v in range(1, 21) if v != u) + "\n" for u in range(1, 21)
+        ))
+        code, out, _ = run(capsys, "complex", "fvec", str(boundary))
+        assert code == 0 and out.split() == [str(math.comb(20, i)) for i in range(1, 20)]
+        two = tmp_path / "two11.cx"
+        two.write_text("vertices=22\n" + ",".join(map(str, range(1, 12))) + "\n"
+                       + ",".join(map(str, range(12, 23))) + "\n")
+        code, out, _ = run(capsys, "complex", "sr", str(two))
+        assert code == 0 and len(parse_ideal(out).gens) == 121
+        code, out, _ = run(capsys, "complex", "dual", str(two))
+        assert code == 0 and len(parse_complex(out).facets) == 121
+        code, out, _ = run(capsys, "complex", "cm", str(two))
+        assert (code, out) == (0, "false\n")
 
     def test_missing_file_exit_2(self, capsys):
         code, _, _ = run(capsys, "complex", "cm", "/nonexistent.cx")

@@ -383,6 +383,13 @@ class TestCharacterize:
         H = HilbertSpec(2, (0, 0, 0, 2, 3, 10), "ideal")
         assert characterize(H, 3).failed_condition == "(i)(b)"
 
+    @pytest.mark.parametrize("d", [0, -2])
+    def test_nonpositive_d_is_an_error_not_a_verdict(self, d):
+        H = hspec_of(RUNNING, 3)
+        for check in (characterize, characterize_exact):
+            with pytest.raises(DomainError, match="d must be positive"):
+                check(H, d)
+
     def test_roundtrip_random(self):
         """characterize accepts every genuinely d-regular strongly stable
         ideal and the construction reproduces its Hilbert function."""

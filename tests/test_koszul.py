@@ -150,10 +150,10 @@ def hochster_betti(I):
     from fractions import Fraction
 
     from dreglex.squarefree import complex_from_ideal
+    from tests.conftest import faces
 
     n = I.ring.num_vars
-    gamma = complex_from_ideal(I)
-    all_faces = gamma.faces() if not gamma.is_void else set()
+    all_faces = faces(complex_from_ideal(I))
 
     def reduced_homology_dims(faces):
         # chain complex over Q with the empty face in degree -1

@@ -99,6 +99,11 @@ class TestMonomialBasics:
     def test_max_index(self):
         assert parse_monomial("x1^2*x3", R4).max_index == 3
 
+    def test_squarefree_from_support(self):
+        assert R4.squarefree({1, 3}) == parse_monomial("x1*x3", R4)
+        assert R4.squarefree(()) == R4.one()
+        assert R4.squarefree(frozenset(range(1, 5))).support == (1, 2, 3, 4)
+
     def test_parse_format_roundtrip(self):
         for text in ["1", "x1", "x2^5", "x1^2*x3", "x1*x2*x3*x4"]:
             m = parse_monomial(text, R4)

@@ -1,6 +1,7 @@
 """The squarefree world: spreading maps, squarefree d-lexsegment ideals,
 simplicial complexes, duality, and the Cohen-Macaulay test."""
 
+import math
 import random
 
 import pytest
@@ -32,6 +33,9 @@ from dreglex.squarefree import (
     stanley_reisner,
 )
 from tests.conftest import (
+    complex_by_face_scan,
+    faces,
+    minimal_nonfaces,
     random_sq_strongly_stable_ideal,
     random_strongly_stable_set,
     random_squarefree_ideal,
@@ -472,6 +476,101 @@ class TestRegularityDepthDuality:
             assert regularity(I) == n - koszul_betti(I_dual).depth_quotient()
             checked += 1
         assert checked >= 30
+
+
+def random_complex(rng: random.Random, n: int) -> SimplicialComplex:
+    """Void, irrelevant and full-simplex complexes now and then, random
+    proper facets otherwise; vertices outside every facet are ghosts."""
+    kind = rng.random()
+    if kind < 0.04:
+        return SimplicialComplex(n, [])
+    if kind < 0.08:
+        return SimplicialComplex(n, [frozenset()])
+    if kind < 0.12:
+        return SimplicialComplex(n, [frozenset(range(1, n + 1))])
+    return SimplicialComplex(n, [
+        frozenset(rng.sample(range(1, n + 1), rng.randint(0, n - 1))) for _ in range(rng.randint(1, 6))
+    ])
+
+
+class TestAgainstSubsetScans:
+    """Every complex operation against its definition by listing faces or
+    scanning all 2^n vertex sets."""
+
+    def test_random_complexes(self):
+        from dreglex.dlex import regularity
+
+        rng = random.Random(307)
+        for _ in range(1200):
+            n = rng.randint(1, 8)
+            gamma = random_complex(rng, n)
+            scanned = faces(gamma)
+            nonfaces = minimal_nonfaces(gamma)
+            R, full = GroundRing(n), frozenset(range(1, n + 1))
+            sizes = [sum(len(F) == k for F in scanned) for k in range(n + 2)]
+            if gamma.is_void:
+                assert f_vector(gamma) == ()
+            else:
+                top = gamma.dim + 1
+                assert f_vector(gamma) == tuple(sizes[1:top + 1])
+                # sum_k h_k t^k = sum_i f_{i-1} t^i (1 - t)^(top - i)
+                h = [0] * (top + 1)
+                for i in range(top + 1):
+                    for j in range(top - i + 1):
+                        h[i + j] += sizes[i] * math.comb(top - i, j) * (-1) ** j
+                assert h_vector(gamma) == tuple(h)
+            I = stanley_reisner(gamma)
+            assert I == MonomialIdeal(R, map(R.squarefree, nonfaces))
+            dual = alexander_dual(gamma)
+            assert dual == SimplicialComplex(n, (full - A for A in nonfaces))
+            assert complex_from_ideal(I) == gamma
+            # the old route: the Stanley-Reisner ideal of the dual, by scans
+            dual_ideal = MonomialIdeal(R, map(R.squarefree, minimal_nonfaces(dual)))
+            if gamma.is_void or dual_ideal.is_unit:
+                with pytest.raises(DomainError):
+                    eagon_reiner_cm(gamma)
+                continue
+            d = dual_ideal.max_gen_degree
+            expected = dual_ideal.min_gen_degree == d and regularity(dual_ideal) == d
+            assert eagon_reiner_cm(gamma) == expected
+
+    def test_random_ideals(self):
+        rng = random.Random(311)
+        for _ in range(1200):
+            n = rng.randint(1, 8)
+            R = GroundRing(n)
+            kind = rng.random()
+            if kind < 0.04:
+                I = MonomialIdeal.zero(R)
+            elif kind < 0.08:
+                I = MonomialIdeal(R, [Monomial((0,) * n)])
+            else:
+                I = random_squarefree_ideal(rng, n, n, count=rng.randint(1, 6))
+            assert complex_from_ideal(I) == complex_by_face_scan(I)
+
+    def test_non_squarefree_rejected(self):
+        with pytest.raises(DomainError):
+            complex_from_ideal(ideal(R2, "x1^2"))
+
+
+class TestPastTheOldSubsetCap:
+    """Complexes on 20 and 22 vertices, where a scan of the 2^n vertex sets
+    takes seconds or stops above 2^20 subsets."""
+
+    def test_boundary_of_the_20_simplex(self):
+        full = frozenset(range(1, 21))
+        boundary = SimplicialComplex(20, [full - {v} for v in full])
+        assert f_vector(boundary) == tuple(math.comb(20, i) for i in range(1, 20))
+
+    def test_two_disjoint_11_simplices(self):
+        left, right = frozenset(range(1, 12)), frozenset(range(12, 23))
+        two = SimplicialComplex(22, [left, right])
+        R = GroundRing(22)
+        assert stanley_reisner(two) == MonomialIdeal(R, (R.squarefree({i, j}) for i in left for j in right))
+        assert alexander_dual(two) == SimplicialComplex(
+            22, ((left | right) - {i, j} for i in left for j in right)
+        )
+        assert len(alexander_dual(two).facets) == 121
 
 
 class TestComplexFile:
