@@ -18,7 +18,7 @@ from .betti import BettiDiagram, ek_betti
 from .dlex import LSequence, dlinear_lex_from_l, l_sequence_of_set
 from .errors import DomainError, FormatError
 from .ideals import MonomialIdeal
-from .monomials import GroundRing, Monomial, MonomialSet, is_strongly_stable, lex_prefix
+from .monomials import GroundRing, Monomial, MonomialSet, is_strongly_stable, lex_prefix, lex_prefix_counts
 
 MAX_AREA_HEIGHT = 64
 
@@ -189,10 +189,9 @@ def _relex_counts(ring: GroundRing, d: int, counts: Sequence[int], r: int) -> tu
     stable degree-d set: the lex prefix of size l_1 + ... + l_{r-1} in
     x1..x_{r-1} gives the counts below slot r, and the d-linear lexsegment
     set with those counts and l_r, ..., l_n is the answer."""
-    low_counts = [0] * (r - 1)
-    for m in lex_prefix(ring, d, sum(counts[:r - 1]), max_var=r - 1):
-        low_counts[m.max_index - 1] += 1
-    return dlinear_lex_from_l(LSequence(tuple(low_counts) + tuple(counts[r - 1:]), d), ring).gens
+    below = lex_prefix_counts(ring, d, sum(counts[:r - 1]), max_var=r - 1)
+    low_counts = tuple(c - b for b, c in zip((0,) + below, below))
+    return dlinear_lex_from_l(LSequence(low_counts + tuple(counts[r - 1:]), d), ring).gens
 
 
 def lex_i_a(I: MonomialIdeal, area: ExtremalArea) -> MonomialIdeal:

@@ -17,12 +17,11 @@ from .monomials import (
     DEFAULT_ENUMERATION_CAP,
     GroundRing,
     MonomialSet,
-    count_monomials,
     dk_decompose,
     is_lexsegment_set,
     is_strongly_stable,
     lex_prefix,
-    lex_rank,
+    lex_prefix_counts,
 )
 
 
@@ -220,17 +219,15 @@ def dlex_from_hilbert(H: HilbertSpec, d: int) -> MonomialIdeal:
     recovered counts l.  A stable set's span holds x_k * b with
     max(x_k * b) = k iff it holds b, so the degree-d generators with largest
     variable x_k are x_k times the size-l_k lex prefix in x1..xk less the c_k
-    members of the degree-(d-1) slice there: c_k is the rank in x1..xk of
-    the first monomial past that slice, the lex prefix of size H(d-1)."""
+    members of the degree-(d-1) slice there, the lex prefix of size H(d-1)
+    (``lex_prefix_counts``)."""
     verdict = characterize(H, d)
     if not verdict.admissible:
         raise DomainError(f"H is not the Hilbert function of a {d}-regular ideal: condition {verdict.failed_condition}")
     ring = GroundRing(H.num_vars)
     gens = [m for new in lex_layers(ring, H.values[1:d]) for m in new]
-    a = H.value(d - 1)
-    past = lex_prefix(ring, d - 1, min(a + 1, count_monomials(ring.num_vars, d - 1)), start=a).members
-    for k, size in enumerate(verdict.witness_l.entries, start=1):
-        c = lex_rank(past[0], k) if past else count_monomials(k, d - 1)
+    below = lex_prefix_counts(ring, d - 1, H.value(d - 1))
+    for k, (size, c) in enumerate(zip(verdict.witness_l.entries, below), start=1):
         # c > size: no d-lex ideal has these counts; J then exceeds H(d) and fails below
         gens.extend(b.times_var(k) for b in lex_prefix(ring, d - 1, size, max_var=k, start=min(c, size)))
     J = MonomialIdeal(ring, gens)

@@ -12,6 +12,10 @@ reads every count off it with exact binomial sums: the Hilbert function, the
 counts by max index of the degreewise Betti formulas and Lex(I, A), and the
 squarefree counts of SqLex.  It needs no enumeration and no cap.  The
 stability predicates read the minimal generators only.
+
+Both lexifications are built generator by generator from lex ranks, with only
+the sizes of the spans computed; SqLex takes the lex prefixes of degree t in
+n - t + 1 variables and carries them onto the squarefree ones through phi.
 """
 
 from __future__ import annotations
@@ -33,20 +37,25 @@ from .monomials import (
     format_monomial,
     lex_prefix,
     parse_monomial,
+    phi,
 )
 
 T = TypeVar("T")
 
 
 def minimalize(ring: GroundRing, gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Divisibility-minimal subset of a generating set; idempotent."""
+    """Divisibility-minimal subset of a generating set; idempotent.  Only a
+    kept generator of lower degree can divide a candidate."""
     unique = sorted(set(gens), key=lambda m: (m.degree, tuple(-e for e in m.exponents)))
     kept: list[Monomial] = []
+    below: list[tuple[int, ...]] = []  # exponents of the kept generators of lower degree
     for m in unique:
         if m.num_vars != ring.num_vars:
             raise RingMismatch(f"generator over {m.num_vars} variables in ring with {ring.num_vars}")
+        if kept and kept[-1].degree < m.degree:
+            below.extend(g.exponents for g in kept[len(below):])
         me = m.exponents
-        if not any(all(map(le, g.exponents, me)) for g in kept):
+        if not any(all(map(le, g, me)) for g in below):
             kept.append(m)
     return tuple(kept)
 
@@ -342,43 +351,36 @@ def lexify(I: MonomialIdeal) -> MonomialIdeal:
         gens.extend(new)
 
 
-def sq_prefix(ring: GroundRing, degree: int, size: int) -> tuple[Monomial, ...]:
-    """The squarefree lexsegment of the given size in one degree."""
+def sq_lex_layers(ring: GroundRing, sizes: Iterable[int]) -> Iterator[tuple[Monomial, ...]]:
+    """The generators, degree t = 1, ..., n in turn, of the squarefree
+    lexsegment ideal whose squarefree degree-t slice has size ``sizes[t - 1]``,
+    built as ``lex_layers`` builds the plain ones: phi carries the degree-t
+    lex prefixes in n - t + 1 variables in order onto the squarefree ones in
+    n, and the span of a squarefree lex prefix is again one (Aramova-Herzog-
+    Hibi, Math. Z. 228, 1998).  w is in the span of a prefix P of degree
+    t - 1 iff w / x_max(w) is in P, so the span has sum_{u in P} (n - max u)
+    members: through phi, the plain span up(|P|, n - t + 1) less the |P|
+    multiples u * x_max(u)."""
     n = ring.num_vars
-    if size < 0 or size > binom(n, degree):
-        raise DomainError(f"no squarefree lexsegment of size {size} in degree {degree} over {n} variables")
-    out = []
-    for supp in itertools.combinations(range(1, n + 1), degree):
-        if len(out) == size:
-            break
-        out.append(ring.squarefree(supp))
-    return tuple(out)
-
-
-def sq_lex_generators(ring: GroundRing, sizes: Iterable[int]) -> Iterator[Monomial]:
-    """The generators of the squarefree lexsegment ideal whose degree-t
-    squarefree slice has size ``sizes[t - 1]``, t = 1, 2, ...: each squarefree
-    lex prefix past the span of the previous one."""
-    n = ring.num_vars
-    prev: tuple[Monomial, ...] = ()
+    prev = 0
     for t, size in enumerate(sizes, start=1):
-        span = {m.times_var(i) for m in prev for i in range(1, n + 1) if not m.exponents[i - 1]}
-        prefix = sq_prefix(ring, t, size)
-        if not span.issubset(prefix):
+        span = up(prev, n - t + 1) - prev
+        if span > size:
             raise DomainError(f"squarefree counts violate Kruskal-Katona growth at degree {t}")
-        yield from (m for m in prefix if m not in span)
-        prev = prefix
+        yield tuple(phi(u, n) for u in lex_prefix(GroundRing(n - t + 1), t, size, start=span))
+        prev = size
 
 
 def sq_lexify(I: MonomialIdeal) -> MonomialIdeal:
     """The unique squarefree lexsegment ideal with the Hilbert function of I
-    (Kruskal-Katona).  Matches the squarefree member count of I degree by
-    degree; terminates by degree n."""
+    (Kruskal-Katona), built generator by generator by ``sq_lex_layers`` from
+    the squarefree member counts of I in degrees 1..n."""
     if not I.is_squarefree:
         raise DomainError("sq_lexify needs a squarefree monomial ideal")
     if I.is_zero or I.is_unit:
         return I
-    return MonomialIdeal(I.ring, sq_lex_generators(I.ring, squarefree_counts(I)[1:]))
+    layers = sq_lex_layers(I.ring, squarefree_counts(I)[1:])
+    return MonomialIdeal(I.ring, [m for layer in layers for m in layer])
 
 
 def squarefree_counts(I: MonomialIdeal) -> tuple[int, ...]:

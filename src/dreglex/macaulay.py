@@ -13,6 +13,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import DomainError, FormatError
+from .monomials import count_monomials
 
 
 def binom(a: int, b: int) -> int:
@@ -125,11 +126,6 @@ class HilbertSpec:
         return self.values[t]
 
 
-def full_ring_dim(num_vars: int, t: int) -> int:
-    """dim of the full polynomial ring in one degree."""
-    return binom(num_vars - 1 + t, num_vars - 1)
-
-
 def admissible_quotient(H: HilbertSpec) -> bool:
     """Macaulay's quotient-side test: H(0) = 1, H(1) <= n and
     down(H(t), t) >= H(t+1) over the supplied range."""
@@ -148,7 +144,7 @@ def admissible_ideal(H: HilbertSpec) -> bool:
     n = H.num_vars
     for t in range(H.top):
         nxt = H.values[t + 1]
-        if not up(H.values[t], n - 1) <= nxt <= full_ring_dim(n, t + 1):
+        if not up(H.values[t], n - 1) <= nxt <= count_monomials(n, t + 1):
             return False
     return True
 

@@ -1,6 +1,6 @@
 """Monomials over a fixed ground ring, single-degree monomial sets, lex order,
-strong stability, and the max-index decompositions that drive every lexsegment
-construction in this library.
+strong stability, the squarefree operation phi, and the max-index
+decompositions that drive every lexsegment construction in this library.
 
 Conventions, fixed once and used everywhere:
 
@@ -12,7 +12,8 @@ Conventions, fixed once and used everywhere:
 Lexsegments are built by rank (the combinatorial number system), never by
 enumeration: ``lex_rank`` costs one binomial per variable; ``lex_prefix``
 with ``start`` unranks its first member in at most degree + 1 steps a variable
-and then costs one step per monomial it returns.
+and then costs one step per monomial it returns.  phi carries the degree-t
+lexsegments in n - t + 1 variables onto the squarefree ones in n, in order.
 """
 
 from __future__ import annotations
@@ -96,14 +97,6 @@ class Monomial:
         return 0
 
     @property
-    def min_index(self) -> int:
-        """Smallest i with a positive exponent; 0 for the unit monomial."""
-        for i, e in enumerate(self.exponents):
-            if e:
-                return i + 1
-        return 0
-
-    @property
     def support(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, e in enumerate(self.exponents) if e)
 
@@ -122,11 +115,6 @@ class Monomial:
     def divides(self, other: Monomial) -> bool:
         _same_ring(self, other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
-
-    def __floordiv__(self, other: Monomial) -> Monomial:
-        if not other.divides(self):
-            raise DomainError(f"{other} does not divide {self}")
-        return Monomial(tuple(a - b for a, b in zip(self.exponents, other.exponents)))
 
     def times_var(self, i: int) -> Monomial:
         e = list(self.exponents)
@@ -313,6 +301,50 @@ def lex_prefix(ring: GroundRing, degree: int, size: int, max_var: int | None = N
         e[i] -= 1
         picked.append(Monomial(tuple(e)))
     return MonomialSet(ring, degree, picked)
+
+
+def lex_prefix_counts(ring: GroundRing, degree: int, size: int, max_var: int | None = None) -> tuple[int, ...]:
+    """For j = 1..k, k = ``max_var`` (default: all), the members in x1..xj of
+    the size-``size`` lex prefix of degree ``degree`` in x1..xk: the rank in
+    x1..xj of its last member, plus one if that member lies there."""
+    k = ring.num_vars if max_var is None else max_var
+    last = lex_prefix(ring, degree, size, max_var=k, start=max(size - 1, 0)).members
+    return tuple(lex_rank(last[0], j) + (last[0].max_index <= j) if last else 0 for j in range(1, k + 1))
+
+
+def phi(u: Monomial, target_vars: int | None = None) -> Monomial:
+    """Spread the (weakly increasing) variable indices of u by 0, 1, 2, ...:
+    a degree-d monomial maps to a squarefree degree-d monomial in
+    max(u) + d - 1 variables.  Lex order is preserved in both directions."""
+    d = u.degree
+    indices = []
+    for i, e in enumerate(u.exponents, start=1):
+        indices.extend([i] * e)
+    target = target_vars if target_vars is not None else u.num_vars + max(d - 1, 0)
+    if d and indices[-1] + d - 1 > target:
+        raise DomainError(f"target ring with {target} variables is too small for phi({u})")
+    e = [0] * target
+    for offset, i in enumerate(indices):
+        e[i + offset - 1] = 1
+    return Monomial(tuple(e))
+
+
+def phi_inv(v: Monomial, target_vars: int | None = None) -> Monomial:
+    """Inverse spreading: the k-th smallest index j_k of a squarefree monomial
+    maps back to j_k - (k - 1)."""
+    if not v.is_squarefree:
+        raise DomainError(f"phi_inv needs a squarefree monomial, got {v}")
+    d = v.degree
+    target = target_vars if target_vars is not None else max(v.num_vars - d + 1, 1)
+    e = [0] * target
+    for offset, j in enumerate(v.support):
+        i = j - offset
+        if i < 1:
+            raise DomainError(f"{v} is not in the image of phi")
+        if i > target:
+            raise DomainError(f"target ring with {target} variables is too small for phi_inv({v})")
+        e[i - 1] += 1
+    return Monomial(tuple(e))
 
 
 def is_lexsegment_set(V: MonomialSet, max_var: int | None = None) -> bool:

@@ -20,46 +20,11 @@ from typing import Iterable
 from .betti import ahh_betti
 from .dlex import LSequence, dlinear_lex_from_l, regularity
 from .errors import DomainError, FormatError
-from .ideals import MonomialIdeal, sq_lex_generators, squarefree_counts
+from .ideals import MonomialIdeal, sq_lex_layers, squarefree_counts
 from .macaulay import binom
-from .monomials import DEFAULT_ENUMERATION_CAP, GroundRing, Monomial
+from .monomials import DEFAULT_ENUMERATION_CAP, GroundRing, phi, phi_inv
 
-# -- the squarefree operation -------------------------------------------------
-
-
-def phi(u: Monomial, target_vars: int | None = None) -> Monomial:
-    """Spread the (weakly increasing) variable indices of u by 0, 1, 2, ...:
-    a degree-d monomial maps to a squarefree degree-d monomial in
-    max(u) + d - 1 variables.  Lex order is preserved in both directions."""
-    d = u.degree
-    indices = []
-    for i, e in enumerate(u.exponents, start=1):
-        indices.extend([i] * e)
-    target = target_vars if target_vars is not None else u.num_vars + max(d - 1, 0)
-    if d and indices[-1] + d - 1 > target:
-        raise DomainError(f"target ring with {target} variables is too small for phi({u})")
-    e = [0] * target
-    for offset, i in enumerate(indices):
-        e[i + offset - 1] = 1
-    return Monomial(tuple(e))
-
-
-def phi_inv(v: Monomial, target_vars: int | None = None) -> Monomial:
-    """Inverse spreading: the k-th smallest index j_k of a squarefree monomial
-    maps back to j_k - (k - 1)."""
-    if not v.is_squarefree:
-        raise DomainError(f"phi_inv needs a squarefree monomial, got {v}")
-    d = v.degree
-    target = target_vars if target_vars is not None else max(v.num_vars - d + 1, 1)
-    e = [0] * target
-    for offset, j in enumerate(v.support):
-        i = j - offset
-        if i < 1:
-            raise DomainError(f"{v} is not in the image of phi")
-        if i > target:
-            raise DomainError(f"target ring with {target} variables is too small for phi_inv({v})")
-        e[i - 1] += 1
-    return Monomial(tuple(e))
+# -- the squarefree operation (phi and phi_inv on monomials: ``monomials``) ---
 
 
 def phi_ideal(I: MonomialIdeal) -> MonomialIdeal:
@@ -192,8 +157,8 @@ def _sq_lexd_from_counts(ring: GroundRing, counts: tuple[int, ...], d: int) -> M
     """The squarefree d-lexsegment ideal whose squarefree member counts per
     degree 0..n are ``counts``."""
     n = ring.num_vars
-    low = MonomialIdeal(ring, sq_lex_generators(ring, counts[1:d]))
-    J = low + sq_dlinear_from_l_star(_l_star_from_counts(counts, n, d), ring)
+    low = [m for layer in sq_lex_layers(ring, counts[1:d]) for m in layer]
+    J = MonomialIdeal(ring, low + list(sq_dlinear_from_l_star(_l_star_from_counts(counts, n, d), ring).gens))
     for t in range(n + 1):
         if J.count(t, squarefree=True) != counts[t]:
             raise AssertionError(f"constructed ideal misses the squarefree count at degree {t}")
@@ -210,7 +175,7 @@ def sq_regularity_range(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) ->
     _require_proper_squarefree(I)
     a = regularity(I, cap)
     counts = squarefree_counts(I)
-    b = max(g.degree for g in sq_lex_generators(I.ring, counts[1:]))
+    b = max(t for t, layer in enumerate(sq_lex_layers(I.ring, counts[1:]), start=1) if layer)
     out: dict[int, MonomialIdeal] = {}
     for r in range(a, b + 1):
         witness = _sq_lexd_from_counts(I.ring, counts, r)

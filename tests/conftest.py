@@ -11,7 +11,9 @@ import random
 
 import pytest
 
+from dreglex.errors import DomainError
 from dreglex.ideals import MonomialIdeal
+from dreglex.macaulay import binom
 from dreglex.monomials import GroundRing, Monomial, MonomialSet, strongly_stable_closure
 
 
@@ -133,6 +135,38 @@ def squarefree_slice(I: MonomialIdeal, t: int) -> tuple[Monomial, ...]:
         if I.contains(m):
             out.append(m)
     return tuple(sorted(out, key=lambda m: m.exponents, reverse=True))
+
+
+def sq_prefix(ring: GroundRing, degree: int, size: int) -> tuple[Monomial, ...]:
+    """The squarefree lexsegment of the given size in one degree, by walking
+    the supports in combinations order: the reference for the squarefree
+    lex prefixes."""
+    n = ring.num_vars
+    if size < 0 or size > binom(n, degree):
+        raise DomainError(f"no squarefree lexsegment of size {size} in degree {degree} over {n} variables")
+    out = []
+    for supp in itertools.combinations(range(1, n + 1), degree):
+        if len(out) == size:
+            break
+        out.append(ring.squarefree(supp))
+    return tuple(out)
+
+
+def sq_lex_layers_by_shadow(ring: GroundRing, sizes):
+    """The generators, degree t = 1, 2, ... in turn, of the squarefree
+    lexsegment ideal whose degree-t squarefree slice has size
+    ``sizes[t - 1]``: each squarefree lex prefix less the whole upper shadow
+    of the previous one, both built as sets, which must lie inside it
+    (Kruskal-Katona).  The reference for ``sq_lex_layers``."""
+    n = ring.num_vars
+    prev: tuple[Monomial, ...] = ()
+    for t, size in enumerate(sizes, start=1):
+        span = {m.times_var(i) for m in prev for i in range(1, n + 1) if not m.exponents[i - 1]}
+        prefix = sq_prefix(ring, t, size)
+        if not span.issubset(prefix):
+            raise DomainError(f"squarefree counts violate Kruskal-Katona growth at degree {t}")
+        yield tuple(m for m in prefix if m not in span)
+        prev = prefix
 
 
 def faces(complex_) -> set[frozenset[int]]:

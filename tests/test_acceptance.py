@@ -257,7 +257,7 @@ class TestCriterion7PropertySuites:
             n = rng.randint(3, 6)
             d = rng.randint(1, min(4, n))
             V = random_sq_strongly_stable_set(rng, n, d)
-            from dreglex.ideals import sq_prefix
+            from tests.conftest import sq_prefix
 
             L = MonomialSet(V.ring, d, sq_prefix(V.ring, d, len(V)))
             for k in range(1, n + 1):

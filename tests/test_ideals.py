@@ -15,6 +15,7 @@ from dreglex.ideals import (
     format_ideal,
     lexify,
     parse_ideal,
+    sq_lex_layers,
     sq_lexify,
     squarefree_counts,
 )
@@ -36,6 +37,7 @@ from tests.conftest import (
     random_squarefree_ideal,
     random_stable_ideal,
     random_strongly_stable_ideal,
+    sq_lex_layers_by_shadow,
     squarefree_slice,
 )
 from tests.test_dlex import prefix_scan_lexify
@@ -387,8 +389,7 @@ class TestSqLexify:
         assert sq_lexify(I) == expected
 
     def test_squarefree_counts_preserved(self):
-        from dreglex.ideals import sq_prefix
-        from tests.conftest import random_squarefree_ideal
+        from tests.conftest import random_squarefree_ideal, sq_prefix
 
         rng = random.Random(31)
         for _ in range(40):
@@ -409,6 +410,38 @@ class TestSqLexify:
     def test_non_squarefree_rejected(self):
         with pytest.raises(DomainError):
             sq_lexify(ideal(R4, "x1^2"))
+
+    def test_layers_match_shadow_reference(self):
+        # rank-built layers through phi against prefixes and whole upper
+        # shadows built as sets
+        rng = random.Random(1105)
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            I = random_squarefree_ideal(rng, n, n, count=rng.randint(1, 6))
+            sizes = squarefree_counts(I)[1:]
+            assert list(sq_lex_layers(I.ring, sizes)) == list(sq_lex_layers_by_shadow(I.ring, sizes))
+
+    def test_growth_error_on_the_same_size_pairs(self):
+        # every pair of slice sizes (s1, s2) in consecutive degrees t, t + 1,
+        # one past the ring's range included, for n <= 5
+        fired = 0
+        for n in range(2, 6):
+            ring = GroundRing(n)
+            for t in range(1, n):
+                for s1 in range(math.comb(n, t) + 2):
+                    for s2 in range(math.comb(n, t + 1) + 2):
+                        sizes = [0] * (t - 1) + [s1, s2]
+                        got = _layers_or_error(sq_lex_layers, ring, sizes)
+                        assert got == _layers_or_error(sq_lex_layers_by_shadow, ring, sizes), (n, t, s1, s2)
+                        fired += got is DomainError
+        assert fired > 0
+
+
+def _layers_or_error(layers, ring, sizes):
+    try:
+        return list(layers(ring, sizes))
+    except DomainError:
+        return DomainError
 
 
 class TestSquarefreeCounts:

@@ -23,6 +23,7 @@ from dreglex.monomials import (
     iter_degree_desc,
     lex_compare,
     lex_prefix,
+    lex_prefix_counts,
     lex_rank,
     m_le_k,
     parse_monomial,
@@ -385,6 +386,16 @@ class TestLexRanks:
                 lex_prefix(ring, d, 0, max_var=k, start=1)
             with pytest.raises(DomainError):
                 lex_rank(ring.one(), ring.num_vars + 1)
+
+    def test_prefix_counts_by_walking(self):
+        # every size from the empty to the full prefix
+        for ring, d, k, order in self.worlds():
+            for size in range(len(order) + 1):
+                walked = lex_prefix(ring, d, size, max_var=k).members
+                want = tuple(sum(m.max_index <= j for m in walked) for j in range(1, k + 1))
+                assert lex_prefix_counts(ring, d, size, max_var=k) == want
+            with pytest.raises(DomainError):
+                lex_prefix_counts(ring, d, len(order) + 1, max_var=k)
 
     def test_lexsegment_set_by_rank(self):
         # on the lex slices above, and on the prefixes of up to 20 members

@@ -156,7 +156,7 @@ class TestLStar:
 def _is_dlinear_sq_lex(I):
     """Generator-set predicate: squarefree strongly stable and every
     max-index slice a squarefree lexsegment in the variables below it."""
-    from dreglex.ideals import sq_prefix
+    from tests.conftest import sq_prefix
     from dreglex.monomials import MonomialSet, dk_decompose
 
     if not I.is_squarefree_strongly_stable():
