@@ -11,7 +11,7 @@ maximal-Betti construction over semi-convex extremal areas.
 
 __version__ = "0.1.0"
 
-from .areas import ExtremalArea, admits, format_area, lex_i_a, parse_area, relex_above
+from .areas import ExtremalArea, admits, format_area, lex_i_a, parse_area
 from .betti import (
     BettiDiagram,
     ahh_betti,
@@ -30,17 +30,14 @@ from .dlex import (
     dlinear_lex_from_l,
     hilbert_from_l,
     is_admissible_l,
-    is_dlinear_lex,
     l_from_hilbert_tail,
     l_sequence,
-    l_sequence_of_set,
     lexd,
     regularity,
     regularity_range,
 )
 from .errors import (
     CapExceeded,
-    DegreeMismatch,
     DomainError,
     DregLexError,
     FormatError,
@@ -71,18 +68,11 @@ from .macaulay import (
 from .monomials import (
     GroundRing,
     Monomial,
-    MonomialSet,
-    dk_decompose,
     enumerate_degree,
     format_monomial,
-    is_lexsegment_set,
-    is_strongly_stable,
-    lex_compare,
     lex_prefix,
     lex_rank,
-    m_le_k,
     parse_monomial,
-    strongly_stable_closure,
 )
 from .squarefree import (
     LStarSequence,

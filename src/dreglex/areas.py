@@ -15,10 +15,10 @@ import re
 from typing import Sequence
 
 from .betti import BettiDiagram, ek_betti
-from .dlex import LSequence, dlinear_lex_from_l, l_sequence_of_set
+from .dlex import LSequence, dlinear_lex_from_l
 from .errors import DomainError, FormatError
 from .ideals import MonomialIdeal
-from .monomials import GroundRing, Monomial, MonomialSet, is_strongly_stable, lex_prefix, lex_prefix_counts
+from .monomials import GroundRing, Monomial, lex_prefix, lex_prefix_counts
 
 MAX_AREA_HEIGHT = 64
 
@@ -166,27 +166,12 @@ def admits(diagram: BettiDiagram, area: ExtremalArea) -> bool:
     return all((i, j - i) in area for (i, j) in diagram.entries)
 
 
-def relex_above(V: MonomialSet, r: int) -> MonomialSet:
-    """The unique d-linear lexsegment set W with the same max-index counts as
-    V at slots >= r whose members supported on the first r - 1 variables form
-    the lex prefix of size |M_{<= r-1}(V)|.
-
-    This is the degree-preserving re-lexification used by the maximal-Betti
-    construction; V must be strongly stable.
-    """
-    n = V.ring.num_vars
-    if not 1 < r <= n + 1:
-        raise DomainError(f"r must lie in 2..{n + 1}")
-    if not is_strongly_stable(V):
-        raise DomainError("re-lexification needs a strongly stable set")
-    if len(V) == 0:
-        return V
-    return MonomialSet(V.ring, V.degree, _relex_counts(V.ring, V.degree, l_sequence_of_set(V).entries, r))
-
-
 def _relex_counts(ring: GroundRing, d: int, counts: Sequence[int], r: int) -> tuple[Monomial, ...]:
-    """``relex_above`` on the max-index counts l_1, ..., l_n of a strongly
-    stable degree-d set: the lex prefix of size l_1 + ... + l_{r-1} in
+    """The degree-preserving re-lexification of the maximal-Betti
+    construction, on the max-index counts l_1, ..., l_n of a strongly stable
+    degree-d set V: the unique d-linear lexsegment set W with V's counts at
+    slots >= r whose members in the first r - 1 variables form a lex prefix,
+    lex-descending.  The lex prefix of size l_1 + ... + l_{r-1} in
     x1..x_{r-1} gives the counts below slot r, and the d-linear lexsegment
     set with those counts and l_r, ..., l_n is the answer."""
     below = lex_prefix_counts(ring, d, sum(counts[:r - 1]), max_var=r - 1)

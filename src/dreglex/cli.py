@@ -18,9 +18,9 @@ from .betti import BettiDiagram, ahh_betti, degreewise_diagram, ek_betti
 from .dlex import betti_auto, characterize, l_sequence, lexd, regularity_range
 from .errors import DomainError, DregLexError, FormatError
 from .ideals import MonomialIdeal, format_ideal, lexify, parse_ideal, sq_lexify
-from .koszul import koszul_betti
+from .koszul import DEFAULT_LATTICE_CAP, koszul_betti
 from .macaulay import HilbertSpec, format_hilbert, parse_hilbert
-from .monomials import DEFAULT_ENUMERATION_CAP, GroundRing, format_monomial, parse_monomial
+from .monomials import GroundRing, format_monomial, parse_monomial
 from .squarefree import (
     alexander_dual,
     eagon_reiner_cm,
@@ -98,6 +98,8 @@ def _cmd_hilb(args) -> int:
         return 0
     if args.through is None:
         raise FormatError("hilb needs -t <degree> or --through <degree>")
+    if args.through < 0:
+        raise DomainError(f"negative degree {args.through}")
     values = tuple(count(t) for t in range(args.through + 1))
     role = "quotient" if args.quotient else "ideal"
     spec = HilbertSpec(I.ring.num_vars, values, role)
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_cap(p):
-        p.add_argument("--cap", type=_positive_int, default=DEFAULT_ENUMERATION_CAP,
+        p.add_argument("--cap", type=_positive_int, default=DEFAULT_LATTICE_CAP,
                        help="cap on the Koszul oracle's lcm lattice, in multidegrees (default 10^6)")
 
     def common(p, ideal_input=True, cap=False):

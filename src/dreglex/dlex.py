@@ -11,18 +11,9 @@ from dataclasses import dataclass
 from .betti import BettiDiagram, ahh_betti, ek_betti
 from .errors import DomainError
 from .ideals import MonomialIdeal, lex_layers, lexify
-from .koszul import koszul_betti
+from .koszul import DEFAULT_LATTICE_CAP, koszul_betti
 from .macaulay import HilbertSpec, binom, is_m_vector, up
-from .monomials import (
-    DEFAULT_ENUMERATION_CAP,
-    GroundRing,
-    MonomialSet,
-    dk_decompose,
-    is_lexsegment_set,
-    is_strongly_stable,
-    lex_prefix,
-    lex_prefix_counts,
-)
+from .monomials import GroundRing, lex_prefix, lex_prefix_counts
 
 
 @dataclass(frozen=True)
@@ -48,28 +39,26 @@ class LSequence:
         return sum(self.entries)
 
 
-def l_sequence_of_set(V: MonomialSet) -> LSequence:
-    """The max-index counts of a strongly stable single-degree set."""
-    if V.degree < 1:
-        raise DomainError("l-sequences are attached to positive degrees")
-    if not is_strongly_stable(V):
-        raise DomainError("l-sequences are only meaningful for strongly stable sets")
-    counts = [0] * V.ring.num_vars
-    for m in V:
-        counts[m.max_index - 1] += 1
-    return LSequence(tuple(counts), V.degree)
-
-
-def l_sequence(I: MonomialIdeal) -> LSequence:
-    """The max-index generator counts of a strongly stable ideal generated in
-    a single degree."""
+def single_degree(I: MonomialIdeal) -> int:
+    """The one degree all generators of a nonzero, nonunit ideal share."""
     if I.is_zero or I.is_unit:
         raise DomainError("need a nonzero, nonunit ideal generated in one degree")
     d = I.max_gen_degree
     if I.min_gen_degree != d:
         raise DomainError("generators must all have the same degree")
-    V = MonomialSet(I.ring, d, I.gens)
-    return l_sequence_of_set(V)
+    return d
+
+
+def l_sequence(I: MonomialIdeal) -> LSequence:
+    """The max-index generator counts of a strongly stable ideal generated in
+    a single degree."""
+    d = single_degree(I)
+    if not I.is_strongly_stable():
+        raise DomainError("l-sequences are only meaningful for strongly stable sets")
+    counts = [0] * I.ring.num_vars
+    for g in I.gens:
+        counts[g.max_index - 1] += 1
+    return LSequence(tuple(counts), d)
 
 
 def is_admissible_l(l: LSequence) -> bool:
@@ -96,19 +85,6 @@ def dlinear_lex_from_l(l: LSequence, ring: GroundRing) -> MonomialIdeal:
         for k, size in enumerate(l.entries, start=1)
         for b in lex_prefix(ring, d - 1, size, max_var=k)
     ))
-
-
-def is_dlinear_lex(V: MonomialSet) -> bool:
-    """True iff V is strongly stable and every max-index slice D_k is a lex
-    segment in the first k variables."""
-    if len(V) == 0:
-        return True
-    if not is_strongly_stable(V):
-        return False
-    return all(
-        is_lexsegment_set(Dk, max_var=k)
-        for k, Dk in enumerate(dk_decompose(V), start=1)
-    )
 
 
 def hilbert_from_l(l: LSequence, num_vars: int, t: int) -> int:
@@ -237,12 +213,12 @@ def dlex_from_hilbert(H: HilbertSpec, d: int) -> MonomialIdeal:
     return J
 
 
-def regularity(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> int:
+def regularity(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> int:
     """Castelnuovo-Mumford regularity via the cheapest valid Betti backend."""
     return betti_auto(I, cap).regularity()
 
 
-def betti_auto(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> BettiDiagram:
+def betti_auto(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> BettiDiagram:
     """EK for stable ideals, the squarefree generator formula for squarefree
     strongly stable ideals, otherwise the exact Koszul oracle."""
     if I.is_stable():
@@ -252,7 +228,7 @@ def betti_auto(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> BettiDia
     return koszul_betti(I, cap=cap)
 
 
-def lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> MonomialIdeal:
+def lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_LATTICE_CAP) -> MonomialIdeal:
     """The unique d-lexsegment ideal with the Hilbert function of I; defined
     exactly when reg(I) <= d."""
     if I.is_zero or I.is_unit:
@@ -268,7 +244,7 @@ def lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> Monomi
     return dlex_from_hilbert(H, d)
 
 
-def regularity_range(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, MonomialIdeal]:
+def regularity_range(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> dict[int, MonomialIdeal]:
     """Witnesses for every achievable regularity with the Hilbert function of
     I: r -> a monomial ideal of regularity exactly r, for r from reg(I) (the
     caller asserts the input realizes the minimum) up to reg(Lex(I)).

@@ -9,16 +9,12 @@ class RingMismatch(DregLexError):
     """Operands live over different ground rings (variable counts differ)."""
 
 
-class DegreeMismatch(DregLexError):
-    """Operands have different total degrees where equal degrees are required."""
-
-
 class FormatError(DregLexError):
     """Malformed textual input (monomial, ideal, Hilbert, complex or area file)."""
 
 
 class CapExceeded(DregLexError):
-    """An enumeration would exceed the configured cap.
+    """The Koszul oracle's lcm lattice would exceed the configured cap.
 
     The question is left undecided; a wrong boolean is never returned.
     """

@@ -1,6 +1,6 @@
-"""Monomial ideals: minimal generators, exact member counts, degree slices
-and truncations, structural predicates, and the two classical lexifications
-(Macaulay's Lex and Kruskal-Katona's SqLex).
+"""Monomial ideals: minimal generators, exact member counts, structural
+predicates, and the two classical lexifications (Macaulay's Lex and
+Kruskal-Katona's SqLex).
 
 Counting has one engine: the numerator N of the Hilbert series
 N(z) / (1 - z)^q of k[x1..xq]/I_q, with I_q generated by the generators of I
@@ -11,7 +11,9 @@ N(S/(I : p)) (Bayer-Stillman 1992, Bigatti 1997), and ``MonomialIdeal.count``
 reads every count off it with exact binomial sums: the Hilbert function, the
 counts by max index of the degreewise Betti formulas and Lex(I, A), and the
 squarefree counts of SqLex.  It needs no enumeration and no cap.  The
-stability predicates read the minimal generators only.
+stability predicates read the minimal generators only.  ``degree_slice``
+lists the members of one degree by testing every monomial of that degree, the
+reference the counts are checked against; no library path calls it.
 
 Both lexifications are built generator by generator from lex ranks, with only
 the sizes of the spans computed; SqLex takes the lex prefixes of degree t in
@@ -28,10 +30,8 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 from .errors import DomainError, FormatError, RingMismatch
 from .macaulay import binom, up
 from .monomials import (
-    DEFAULT_ENUMERATION_CAP,
     GroundRing,
     Monomial,
-    MonomialSet,
     count_monomials,
     enumerate_degree,
     format_monomial,
@@ -191,12 +191,9 @@ class MonomialIdeal:
 
     # -- slices and counting -------------------------------------------------
 
-    def degree_slice(self, t: int, cap: int = DEFAULT_ENUMERATION_CAP) -> MonomialSet:
-        """All degree-t members, lex-descending; errors above the cap."""
-        if t < 0:
-            raise DomainError(f"negative degree {t}")
-        candidates = enumerate_degree(self.ring, t, cap)
-        return MonomialSet(self.ring, t, (m for m in candidates if self.contains(m)))
+    def degree_slice(self, t: int) -> tuple[Monomial, ...]:
+        """All degree-t members, lex-descending."""
+        return tuple(m for m in enumerate_degree(self.ring, t) if self.contains(m))
 
     def hilbert(self, t: int) -> int:
         """dim of the degree-t component of the ideal."""
@@ -278,23 +275,6 @@ class MonomialIdeal:
             for t, new in enumerate(layers, start=1)
         )
 
-    # -- truncations -----------------------------------------------------------
-
-    def truncate_geq(self, k: int, cap: int = DEFAULT_ENUMERATION_CAP) -> MonomialIdeal:
-        """The ideal generated by all members of degree >= k."""
-        if k < 0:
-            raise DomainError(f"negative degree {k}")
-        if self.is_zero:
-            return self
-        low = [g for g in self.gens if g.degree > k]
-        return MonomialIdeal(self.ring, tuple(self.degree_slice(k, cap)) + tuple(low))
-
-    def truncate_leq(self, k: int) -> MonomialIdeal:
-        """The ideal generated by the generators of degree <= k."""
-        if k < 0:
-            raise DomainError(f"negative degree {k}")
-        return MonomialIdeal(self.ring, tuple(g for g in self.gens if g.degree <= k))
-
     # -- squarefree stability ------------------------------------------------
 
     def is_squarefree_strongly_stable(self) -> bool:
@@ -322,7 +302,7 @@ def lex_layers(ring: GroundRing, sizes: Iterable[int]) -> Iterator[tuple[Monomia
         span = up(prev, ring.num_vars - 1)
         if span > size:
             raise DomainError(f"Hilbert data violates Macaulay growth at degree {t}")
-        yield lex_prefix(ring, t, size, start=span).members
+        yield lex_prefix(ring, t, size, start=span)
         prev = size
 
 
@@ -377,7 +357,9 @@ def sq_lexify(I: MonomialIdeal) -> MonomialIdeal:
     the squarefree member counts of I in degrees 1..n."""
     if not I.is_squarefree:
         raise DomainError("sq_lexify needs a squarefree monomial ideal")
-    if I.is_zero or I.is_unit:
+    if I.is_unit:
+        raise DomainError("the unit ideal has no squarefree lexsegment companion here")
+    if I.is_zero:
         return I
     layers = sq_lex_layers(I.ring, squarefree_counts(I)[1:])
     return MonomialIdeal(I.ring, [m for layer in layers for m in layer])

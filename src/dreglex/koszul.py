@@ -35,7 +35,8 @@ import operator
 from .betti import BettiDiagram
 from .errors import CapExceeded, DomainError
 from .ideals import MonomialIdeal
-from .monomials import DEFAULT_ENUMERATION_CAP
+
+DEFAULT_LATTICE_CAP = 10**6
 
 
 def exact_rank(rows: list[list[int]]) -> int:
@@ -180,7 +181,7 @@ def _lcm_lattice(gens: tuple[tuple[int, ...], ...], cap: int) -> set[tuple[int, 
     return lattice
 
 
-def koszul_betti(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> BettiDiagram:
+def koszul_betti(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> BettiDiagram:
     """Graded Betti numbers of I from Koszul homology, ideal-indexed
     (beta_{i,j}(I) = beta_{i+1,j}(S/I)).  Raises CapExceeded when the lcm
     lattice has more than `cap` points."""

@@ -1,13 +1,14 @@
-"""Monomials over a fixed ground ring, single-degree monomial sets, lex order,
-strong stability, the squarefree operation phi, and the max-index
-decompositions that drive every lexsegment construction in this library.
+"""Monomials over a fixed ground ring, lex order, the squarefree operation
+phi, and the lex prefixes that drive every lexsegment construction in this
+library.
 
 Conventions, fixed once and used everywhere:
 
 * variables are 1-based (``x1 > x2 > ... > xn`` in the lex order);
 * ``max_index(1) = 0`` for the unit monomial;
-* canonical iteration order of a monomial set is lex-descending, so the
-  "first N monomials" of a degree are always a lexsegment prefix.
+* a degree slice is a tuple of monomials of one degree in lex-descending
+  order, so the "first N monomials" of a degree are always a lexsegment
+  prefix.
 
 Lexsegments are built by rank (the combinatorial number system), never by
 enumeration: ``lex_rank`` costs one binomial per variable; ``lex_prefix``
@@ -23,9 +24,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
 
-from .errors import CapExceeded, DegreeMismatch, DomainError, FormatError, RingMismatch
-
-DEFAULT_ENUMERATION_CAP = 10**6
+from .errors import DomainError, FormatError, RingMismatch
 
 
 @dataclass(frozen=True)
@@ -108,10 +107,6 @@ class Monomial:
     def is_one(self) -> bool:
         return not any(self.exponents)
 
-    def __mul__(self, other: Monomial) -> Monomial:
-        _same_ring(self, other)
-        return Monomial(tuple(a + b for a, b in zip(self.exponents, other.exponents)))
-
     def divides(self, other: Monomial) -> bool:
         _same_ring(self, other)
         return all(a <= b for a, b in zip(self.exponents, other.exponents))
@@ -132,10 +127,6 @@ class Monomial:
         """The exchange move x_q -> x_p, i.e. self * x_p / x_q."""
         return self.div_var(q).times_var(p)
 
-    def lcm(self, other: Monomial) -> Monomial:
-        _same_ring(self, other)
-        return Monomial(tuple(max(a, b) for a, b in zip(self.exponents, other.exponents)))
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.exponents == other.exponents
 
@@ -152,19 +143,6 @@ class Monomial:
 def _same_ring(u: Monomial, v: Monomial) -> None:
     if u.num_vars != v.num_vars:
         raise RingMismatch(f"monomials over {u.num_vars} and {v.num_vars} variables")
-
-
-def lex_compare(u: Monomial, v: Monomial) -> int:
-    """Degree-lex comparison restricted to a single degree: +1 if u > v,
-    0 if equal, -1 if u < v.  Rejects ring or degree mismatches."""
-    _same_ring(u, v)
-    if u.degree != v.degree:
-        raise DegreeMismatch(f"degrees {u.degree} and {v.degree} differ")
-    if u.exponents > v.exponents:
-        return 1
-    if u.exponents < v.exponents:
-        return -1
-    return 0
 
 
 def count_monomials(num_vars: int, degree: int) -> int:
@@ -184,74 +162,11 @@ def iter_degree_desc(num_vars: int, degree: int) -> Iterator[tuple[int, ...]]:
             yield (e,) + rest
 
 
-class MonomialSet:
-    """A finite, duplicate-free set of monomials sharing one degree.
-
-    Iteration order is lex-descending (canonical)."""
-
-    __slots__ = ("ring", "degree", "_members", "_member_set")
-
-    def __init__(self, ring: GroundRing, degree: int, monomials: Iterable[Monomial] = ()):
-        if degree < 0:
-            raise DomainError(f"negative degree {degree}")
-        members = set()
-        for m in monomials:
-            if m.num_vars != ring.num_vars:
-                raise RingMismatch(f"monomial over {m.num_vars} variables in ring with {ring.num_vars}")
-            if m.degree != degree:
-                raise DegreeMismatch(f"{m} has degree {m.degree}, set declares {degree}")
-            members.add(m)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "_members", tuple(sorted(members, key=lambda m: m.exponents, reverse=True)))
-        object.__setattr__(self, "_member_set", frozenset(members))
-
-    def __setattr__(self, *args):  # pragma: no cover - immutability guard
-        raise AttributeError("MonomialSet is immutable")
-
-    __delattr__ = __setattr__
-
-    @property
-    def members(self) -> tuple[Monomial, ...]:
-        return self._members
-
-    def __iter__(self) -> Iterator[Monomial]:
-        return iter(self._members)
-
-    def __len__(self) -> int:
-        return len(self._members)
-
-    def __contains__(self, m: Monomial) -> bool:
-        return m in self._member_set
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MonomialSet)
-            and self.ring == other.ring
-            and self.degree == other.degree
-            and self._member_set == other._member_set
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.degree, self._member_set))
-
-    def __repr__(self) -> str:
-        body = ", ".join(format_monomial(m) for m in self._members)
-        return f"MonomialSet(d={self.degree}, {{{body}}})"
-
-    def union(self, other: MonomialSet) -> MonomialSet:
-        if self.ring != other.ring or self.degree != other.degree:
-            raise DomainError("union requires matching ring and degree")
-        return MonomialSet(self.ring, self.degree, self._members + other._members)
-
-
-def enumerate_degree(ring: GroundRing, degree: int, cap: int = DEFAULT_ENUMERATION_CAP) -> MonomialSet:
-    """All monomials of the given degree, lex-descending; errors above the cap
-    so callers can switch to counting formulas."""
-    total = count_monomials(ring.num_vars, degree)
-    if total > cap:
-        raise CapExceeded(f"degree {degree} in {ring.num_vars} variables has {total} monomials > cap {cap}")
-    return MonomialSet(ring, degree, (Monomial(e) for e in iter_degree_desc(ring.num_vars, degree)))
+def enumerate_degree(ring: GroundRing, degree: int) -> tuple[Monomial, ...]:
+    """All monomials of the given degree, lex-descending."""
+    if degree < 0:
+        raise DomainError(f"negative degree {degree}")
+    return tuple(Monomial(e) for e in iter_degree_desc(ring.num_vars, degree))
 
 
 def lex_rank(m: Monomial, max_var: int | None = None) -> int:
@@ -270,19 +185,21 @@ def lex_rank(m: Monomial, max_var: int | None = None) -> int:
     return rank
 
 
-def lex_prefix(ring: GroundRing, degree: int, size: int, max_var: int | None = None, start: int = 0) -> MonomialSet:
+def lex_prefix(
+    ring: GroundRing, degree: int, size: int, max_var: int | None = None, start: int = 0
+) -> tuple[Monomial, ...]:
     """The lexsegment of the given size in degree ``degree``, restricted to the
     first ``max_var`` variables (default: all), embedded in ``ring``, less its
-    first ``start`` members.  Unranks ``start``, then walks the lex successor:
-    the rightmost nonzero exponent before x_k drops by one and the whole tail
-    moves to the next variable."""
+    first ``start`` members, lex-descending.  Unranks ``start``, then walks
+    the lex successor: the rightmost nonzero exponent before x_k drops by one
+    and the whole tail moves to the next variable."""
     k = ring.num_vars if max_var is None else max_var
     if not 0 <= k <= ring.num_vars:
         raise DomainError(f"max_var {k} out of range 0..{ring.num_vars}")
     if not 0 <= start <= size:
         raise DomainError(f"bad lex range {start}..{size}")
     if start == size:
-        return MonomialSet(ring, degree)
+        return ()
     if k == 0 or size > count_monomials(k, degree):
         raise DomainError(f"no lexsegment of size {size} in degree {degree} over {k} variables")
     e = [0] * ring.num_vars
@@ -300,7 +217,7 @@ def lex_prefix(ring: GroundRing, degree: int, size: int, max_var: int | None = N
         e[i + 1:k] = [sum(e[i + 1:k]) + 1] + [0] * (k - i - 2)
         e[i] -= 1
         picked.append(Monomial(tuple(e)))
-    return MonomialSet(ring, degree, picked)
+    return tuple(picked)
 
 
 def lex_prefix_counts(ring: GroundRing, degree: int, size: int, max_var: int | None = None) -> tuple[int, ...]:
@@ -308,7 +225,7 @@ def lex_prefix_counts(ring: GroundRing, degree: int, size: int, max_var: int | N
     the size-``size`` lex prefix of degree ``degree`` in x1..xk: the rank in
     x1..xj of its last member, plus one if that member lies there."""
     k = ring.num_vars if max_var is None else max_var
-    last = lex_prefix(ring, degree, size, max_var=k, start=max(size - 1, 0)).members
+    last = lex_prefix(ring, degree, size, max_var=k, start=max(size - 1, 0))
     return tuple(lex_rank(last[0], j) + (last[0].max_index <= j) if last else 0 for j in range(1, k + 1))
 
 
@@ -345,62 +262,6 @@ def phi_inv(v: Monomial, target_vars: int | None = None) -> Monomial:
             raise DomainError(f"target ring with {target} variables is too small for phi_inv({v})")
         e[i - 1] += 1
     return Monomial(tuple(e))
-
-
-def is_lexsegment_set(V: MonomialSet, max_var: int | None = None) -> bool:
-    """True iff V is an initial lex segment of its degree within the first
-    ``max_var`` variables (default: the whole ring): its members live there
-    and its last member has position len(V) - 1."""
-    k = V.ring.num_vars if max_var is None else max_var
-    if any(m.max_index > k for m in V):
-        return False
-    return not V.members or lex_rank(V.members[-1], k) == len(V) - 1
-
-
-def is_strongly_stable(V: MonomialSet) -> bool:
-    """True iff every exchange move x_q -> x_p (p < q) on every member stays in V."""
-    for m in V:
-        for q in m.support:
-            for p in range(1, q):
-                if m.exchange(p, q) not in V:
-                    return False
-    return True
-
-
-def strongly_stable_closure(V: MonomialSet) -> MonomialSet:
-    """Smallest strongly stable superset of V in the same degree."""
-    seen = set(V.members)
-    frontier = list(V.members)
-    while frontier:
-        m = frontier.pop()
-        for q in m.support:
-            for p in range(1, q):
-                w = m.exchange(p, q)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-    return MonomialSet(V.ring, V.degree, seen)
-
-
-def dk_decompose(V: MonomialSet) -> tuple[MonomialSet, ...]:
-    """The decomposition by largest variable: entry k-1 holds
-    { u / x_k : u in V, max(u) = k }, a set of degree d-1 monomials supported
-    on x1..xk.  The union of x_k * D_k reconstructs V exactly."""
-    if V.degree == 0 and len(V) > 0:
-        raise DomainError("degree-0 sets have no max-index decomposition")
-    buckets: list[list[Monomial]] = [[] for _ in range(V.ring.num_vars)]
-    for m in V:
-        k = m.max_index
-        buckets[k - 1].append(m.div_var(k))
-    d = max(V.degree - 1, 0)
-    return tuple(MonomialSet(V.ring, d, b) for b in buckets)
-
-
-def m_le_k(V: MonomialSet, k: int) -> MonomialSet:
-    """The filtered subset { u in V : max(u) <= k }."""
-    if not 1 <= k <= V.ring.num_vars:
-        raise DomainError(f"k={k} out of range 1..{V.ring.num_vars}")
-    return MonomialSet(V.ring, V.degree, (m for m in V if m.max_index <= k))
 
 
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")

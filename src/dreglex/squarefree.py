@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .betti import ahh_betti
-from .dlex import LSequence, dlinear_lex_from_l, regularity
+from .dlex import LSequence, dlinear_lex_from_l, regularity, single_degree
 from .errors import DomainError, FormatError
 from .ideals import MonomialIdeal, sq_lex_layers, squarefree_counts
+from .koszul import DEFAULT_LATTICE_CAP
 from .macaulay import binom
-from .monomials import DEFAULT_ENUMERATION_CAP, GroundRing, phi, phi_inv
+from .monomials import GroundRing, phi, phi_inv
 
 # -- the squarefree operation (phi and phi_inv on monomials: ``monomials``) ---
 
@@ -30,7 +31,7 @@ from .monomials import DEFAULT_ENUMERATION_CAP, GroundRing, phi, phi_inv
 def phi_ideal(I: MonomialIdeal) -> MonomialIdeal:
     """Generator-wise spreading of a strongly stable ideal generated in one
     degree d; lands squarefree strongly stable in n + d - 1 variables."""
-    d = _single_degree(I)
+    d = single_degree(I)
     if not I.is_strongly_stable():
         raise DomainError("phi transports strongly stable ideals only")
     target = GroundRing(I.ring.num_vars + d - 1)
@@ -40,7 +41,7 @@ def phi_ideal(I: MonomialIdeal) -> MonomialIdeal:
 def phi_inv_ideal(J: MonomialIdeal) -> MonomialIdeal:
     """Generator-wise inverse spreading of a squarefree strongly stable ideal
     generated in one degree d; lands strongly stable in n - d + 1 variables."""
-    d = _single_degree(J)
+    d = single_degree(J)
     if not J.is_squarefree_strongly_stable():
         raise DomainError("phi_inv transports squarefree strongly stable ideals only")
     target = GroundRing(J.ring.num_vars - d + 1)
@@ -62,15 +63,6 @@ def phi_tilde(I: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal(I.ring, (phi(g, n) for g in I.gens))
 
 
-def _single_degree(I: MonomialIdeal) -> int:
-    if I.is_zero or I.is_unit:
-        raise DomainError("need a nonzero, nonunit ideal generated in one degree")
-    d = I.max_gen_degree
-    if I.min_gen_degree != d:
-        raise DomainError("generators must all have the same degree")
-    return d
-
-
 # -- l*-sequences and squarefree d-lexsegment ideals ---------------------------
 
 
@@ -90,7 +82,7 @@ class LStarSequence:
 def l_star(I: MonomialIdeal) -> LStarSequence:
     """The shifted max-index counts of a squarefree strongly stable ideal
     generated in one degree."""
-    d = _single_degree(I)
+    d = single_degree(I)
     if not I.is_squarefree_strongly_stable():
         raise DomainError("l* is only meaningful for squarefree strongly stable ideals")
     n = I.ring.num_vars
@@ -131,7 +123,7 @@ def sq_dlinear_from_l_star(ls: LStarSequence, ring: GroundRing) -> MonomialIdeal
     return MonomialIdeal(ring, (phi(g, n) for g in inner.gens))
 
 
-def sq_lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_ENUMERATION_CAP) -> MonomialIdeal:
+def sq_lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_LATTICE_CAP) -> MonomialIdeal:
     """The unique squarefree d-lexsegment ideal with the Hilbert function of a
     squarefree ideal I of regularity <= d: squarefree lex prefixes below
     degree d plus the d-linear squarefree lexsegment part with the counts
@@ -165,7 +157,7 @@ def _sq_lexd_from_counts(ring: GroundRing, counts: tuple[int, ...], d: int) -> M
     return J
 
 
-def sq_regularity_range(I: MonomialIdeal, cap: int = DEFAULT_ENUMERATION_CAP) -> dict[int, MonomialIdeal]:
+def sq_regularity_range(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> dict[int, MonomialIdeal]:
     """Witnesses r -> squarefree ideal of regularity exactly r sharing I's
     Hilbert function, for r from reg(I) up to reg(SqLex(I)).
 
@@ -306,7 +298,7 @@ def complex_from_ideal(I: MonomialIdeal) -> SimplicialComplex:
     return _complement_complex(_dual_ideal(I.ring, (g.support for g in I.gens)))
 
 
-def eagon_reiner_cm(complex_: SimplicialComplex, cap: int = DEFAULT_ENUMERATION_CAP) -> bool:
+def eagon_reiner_cm(complex_: SimplicialComplex, cap: int = DEFAULT_LATTICE_CAP) -> bool:
     """Cohen-Macaulayness via the dual ideal: true iff the Stanley-Reisner
     ideal (x^{[n] - F} : F facet) of the Alexander dual is generated in a
     single degree d and has regularity d (a d-linear resolution)."""

@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import itertools
 import random
+from typing import Iterable
 
 import pytest
 
 from dreglex.errors import DomainError
 from dreglex.ideals import MonomialIdeal
 from dreglex.macaulay import binom
-from dreglex.monomials import GroundRing, Monomial, MonomialSet, strongly_stable_closure
+from dreglex.monomials import GroundRing, Monomial, lex_rank
 
 
 def random_monomial(rng: random.Random, n: int, d: int) -> Monomial:
@@ -32,10 +33,90 @@ def random_squarefree_monomial(rng: random.Random, n: int, d: int) -> Monomial:
     return Monomial(tuple(e))
 
 
-def random_strongly_stable_set(rng: random.Random, n: int, d: int, seeds: int = 2) -> MonomialSet:
-    ring = GroundRing(n)
-    mons = [random_monomial(rng, n, d) for _ in range(seeds)]
-    return strongly_stable_closure(MonomialSet(ring, d, mons))
+def lex_desc(mons: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    """The distinct monomials, lex-descending: the library's form of a
+    degree slice."""
+    return tuple(sorted(set(mons), key=lambda m: m.exponents, reverse=True))
+
+
+# -- set-level references: each takes single-degree monomials over one ring ----
+
+
+def strongly_stable_closure(mons: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    """Smallest strongly stable superset in the same degree."""
+    seen = set(mons)
+    frontier = list(seen)
+    while frontier:
+        m = frontier.pop()
+        for q in m.support:
+            for p in range(1, q):
+                w = m.exchange(p, q)
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
+    return lex_desc(seen)
+
+
+def is_strongly_stable(mons: Iterable[Monomial]) -> bool:
+    """True iff every exchange move x_q -> x_p (p < q) on every member stays
+    among the members."""
+    members = set(mons)
+    return all(m.exchange(p, q) in members for m in members for q in m.support for p in range(1, q))
+
+
+def dk_decompose(mons: Iterable[Monomial]) -> tuple[tuple[Monomial, ...], ...]:
+    """The decomposition by largest variable: entry k-1 holds
+    { u / x_k : u in V, max(u) = k }, a set of degree d-1 monomials supported
+    on x1..xk, one entry per variable of the members' ring (none for the
+    empty set).  The union of x_k * D_k reconstructs V exactly."""
+    members = tuple(mons)
+    if any(m.is_one for m in members):
+        raise DomainError("degree-0 sets have no max-index decomposition")
+    buckets: list[list[Monomial]] = [[] for _ in range(members[0].num_vars if members else 0)]
+    for m in members:
+        buckets[m.max_index - 1].append(m.div_var(m.max_index))
+    return tuple(lex_desc(b) for b in buckets)
+
+
+def m_le_k(mons: Iterable[Monomial], k: int) -> tuple[Monomial, ...]:
+    """The members u with max(u) <= k, in their given order."""
+    members = tuple(mons)
+    if members and not 1 <= k <= members[0].num_vars:
+        raise DomainError(f"k={k} out of range 1..{members[0].num_vars}")
+    return tuple(m for m in members if m.max_index <= k)
+
+
+def is_lexsegment_set(mons: Iterable[Monomial], max_var: int | None = None) -> bool:
+    """True iff the members form an initial lex segment of their degree within
+    the first ``max_var`` variables (default: their whole ring): they live
+    there and the lex-smallest has position len - 1."""
+    members = lex_desc(mons)
+    if not members:
+        return True
+    k = members[0].num_vars if max_var is None else max_var
+    return all(m.max_index <= k for m in members) and lex_rank(members[-1], k) == len(members) - 1
+
+
+def is_dlinear_lex(mons: Iterable[Monomial]) -> bool:
+    """True iff the set is strongly stable and every max-index slice D_k is a
+    lex segment in the first k variables."""
+    members = tuple(mons)
+    return is_strongly_stable(members) and all(
+        is_lexsegment_set(Dk, max_var=k) for k, Dk in enumerate(dk_decompose(members), start=1)
+    )
+
+
+def truncate_geq(I: MonomialIdeal, k: int) -> MonomialIdeal:
+    """The ideal generated by the members of I of degree >= k: its degree-k
+    slice and its generators above k."""
+    return MonomialIdeal(I.ring, I.degree_slice(k) + tuple(g for g in I.gens if g.degree > k))
+
+
+# -- random generators ----------------------------------------------------------
+
+
+def random_strongly_stable_set(rng: random.Random, n: int, d: int, seeds: int = 2) -> tuple[Monomial, ...]:
+    return strongly_stable_closure(random_monomial(rng, n, d) for _ in range(seeds))
 
 
 def sq_strongly_stable_closure(seeds) -> set[Monomial]:
@@ -54,10 +135,9 @@ def sq_strongly_stable_closure(seeds) -> set[Monomial]:
     return seen
 
 
-def random_sq_strongly_stable_set(rng: random.Random, n: int, d: int, seeds: int = 2) -> MonomialSet:
-    ring = GroundRing(n)
+def random_sq_strongly_stable_set(rng: random.Random, n: int, d: int, seeds: int = 2) -> tuple[Monomial, ...]:
     mons = [random_squarefree_monomial(rng, n, d) for _ in range(seeds)]
-    return MonomialSet(ring, d, sq_strongly_stable_closure(mons))
+    return lex_desc(sq_strongly_stable_closure(mons))
 
 
 def stable_closure(seeds) -> set[Monomial]:
@@ -93,7 +173,7 @@ def random_strongly_stable_ideal(
     gens: list[Monomial] = []
     for _ in range(parts):
         d = rng.randint(1, dmax)
-        gens.extend(random_strongly_stable_set(rng, n, d, seeds=rng.randint(1, 2)).members)
+        gens.extend(random_strongly_stable_set(rng, n, d, seeds=rng.randint(1, 2)))
     return MonomialIdeal(ring, gens)
 
 
@@ -104,7 +184,7 @@ def random_sq_strongly_stable_ideal(
     gens: list[Monomial] = []
     for _ in range(parts):
         d = rng.randint(1, min(dmax, n))
-        gens.extend(random_sq_strongly_stable_set(rng, n, d, seeds=rng.randint(1, 2)).members)
+        gens.extend(random_sq_strongly_stable_set(rng, n, d, seeds=rng.randint(1, 2)))
     return MonomialIdeal(ring, gens)
 
 

@@ -18,17 +18,12 @@ from dreglex.dlex import (
 from dreglex.ideals import MonomialIdeal, lexify, parse_ideal, sq_lexify
 from dreglex.koszul import koszul_betti
 from dreglex.macaulay import HilbertSpec
-from dreglex.monomials import (
-    GroundRing,
-    MonomialSet,
-    dk_decompose,
-    is_strongly_stable,
-    lex_prefix,
-    m_le_k,
-    parse_monomial,
-)
+from dreglex.monomials import GroundRing, lex_prefix, parse_monomial
 from dreglex.squarefree import l_star, phi_ideal, phi_inv_ideal, phi_tilde, sq_lexd
 from tests.conftest import (
+    dk_decompose,
+    is_strongly_stable,
+    m_le_k,
     random_monomial_ideal,
     random_sq_strongly_stable_ideal,
     random_sq_strongly_stable_set,
@@ -230,12 +225,12 @@ class TestCriterion7PropertySuites:
             n, d = rng.randint(2, 4), rng.randint(1, 4)
             V = random_strongly_stable_set(rng, n, d)
             if rng.random() < 0.5 and len(V) > 1:
-                members = list(V.members)
+                members = list(V)
                 members.remove(rng.choice(members[:-1]))
-                V = MonomialSet(V.ring, V.degree, members)
+                V = tuple(members)
             dk = dk_decompose(V)
             conditions = all(is_strongly_stable(s) for s in dk) and all(
-                set(m_le_k(dk[k - 1], k - 1).members) <= set(dk[k - 2].members)
+                set(m_le_k(dk[k - 1], k - 1)) <= set(dk[k - 2])
                 for k in range(2, n + 1)
             )
             assert is_strongly_stable(V) == conditions
@@ -248,7 +243,7 @@ class TestCriterion7PropertySuites:
         while cases < 100:
             n, d = rng.randint(2, 5), rng.randint(1, 5)
             V = random_strongly_stable_set(rng, n, d)
-            L = lex_prefix(V.ring, d, len(V))
+            L = lex_prefix(GroundRing(n), d, len(V))
             for k in range(1, n + 1):
                 assert len(m_le_k(V, k)) >= len(m_le_k(L, k))
             cases += 1
@@ -259,7 +254,7 @@ class TestCriterion7PropertySuites:
             V = random_sq_strongly_stable_set(rng, n, d)
             from tests.conftest import sq_prefix
 
-            L = MonomialSet(V.ring, d, sq_prefix(V.ring, d, len(V)))
+            L = sq_prefix(GroundRing(n), d, len(V))
             for k in range(1, n + 1):
                 assert len(m_le_k(V, k)) >= len(m_le_k(L, k))
             cases += 1
@@ -296,7 +291,7 @@ class TestCriterion7PropertySuites:
         while cases < 100:
             n, d = rng.randint(2, 4), rng.randint(1, 4)
             V = random_strongly_stable_set(rng, n, d)
-            I = MonomialIdeal(V.ring, V.members)
+            I = MonomialIdeal(GroundRing(n), V)
             J = phi_ideal(I)
             assert phi_inv_ideal(J) == I
             assert l_star(J).entries == l_sequence(I).entries
@@ -306,7 +301,7 @@ class TestCriterion7PropertySuites:
         while cases < 100:
             n = rng.randint(3, 5)
             V = random_strongly_stable_set(rng, n, rng.randint(1, 3), seeds=1)
-            I = MonomialIdeal(V.ring, V.members)
+            I = MonomialIdeal(GroundRing(n), V)
             if I.is_zero or any(g.max_index + g.degree - 1 > n for g in I.gens):
                 continue
             D = ek_betti(I)
@@ -323,7 +318,7 @@ class TestCriterion7PropertySuites:
             n, d = rng.randint(2, 4), rng.randint(1, 3)
             V1 = random_strongly_stable_set(rng, n, d)
             V2 = random_strongly_stable_set(rng, n, d)
-            I1, I2 = MonomialIdeal(V1.ring, V1.members), MonomialIdeal(V2.ring, V2.members)
+            I1, I2 = MonomialIdeal(GroundRing(n), V1), MonomialIdeal(GroundRing(n), V2)
             same_l = l_sequence(I1).entries == l_sequence(I2).entries
             same_b = ek_betti(I1) == ek_betti(I2)
             same_h = all(I1.hilbert(t) == I2.hilbert(t) for t in range(d + n + 1))
@@ -335,7 +330,7 @@ class TestCriterion7PropertySuites:
             d = rng.randint(1, min(3, n))
             V1 = random_sq_strongly_stable_set(rng, n, d)
             V2 = random_sq_strongly_stable_set(rng, n, d)
-            I1, I2 = MonomialIdeal(V1.ring, V1.members), MonomialIdeal(V2.ring, V2.members)
+            I1, I2 = MonomialIdeal(GroundRing(n), V1), MonomialIdeal(GroundRing(n), V2)
             same_l = l_star(I1).entries == l_star(I2).entries
             same_b = ahh_betti(I1) == ahh_betti(I2)
             same_h = all(I1.hilbert(t) == I2.hilbert(t) for t in range(n + 2))
@@ -392,7 +387,7 @@ class TestCriterion7PropertySuites:
         while cases < 100:
             n, d = rng.randint(2, 4), rng.randint(1, 4)
             V = random_strongly_stable_set(rng, n, d)
-            I = MonomialIdeal(V.ring, V.members)
+            I = MonomialIdeal(GroundRing(n), V)
             twin = dlinear_lex_from_l(l_sequence(I), I.ring)
             dd = d + rng.randint(0, 1)
             J = lexd(I, dd)
@@ -406,7 +401,7 @@ class TestCriterion7PropertySuites:
             n = rng.randint(3, 6)
             d = rng.randint(1, min(3, n))
             V = random_sq_strongly_stable_set(rng, n, d)
-            I = MonomialIdeal(V.ring, V.members)
+            I = MonomialIdeal(GroundRing(n), V)
             twin = sq_dlinear_from_l_star(l_star(I), I.ring)
             dd = min(d + rng.randint(0, 1), n)
             J = sq_lexd(I, dd)

@@ -109,6 +109,10 @@ class TestHilb:
         code, _, err = run(capsys, "hilb", running)
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [["--through", "-3"], ["--through", "-3", "--quotient"], ["-t", "-3"]])
+    def test_negative_degree_is_domain_error(self, capsys, running, argv):
+        assert run(capsys, "hilb", *argv, running) == (1, "", "error: negative degree -3\n")
+
 
 class TestLexVerbs:
     def test_dlex_matches_printed_list(self, capsys, running):
@@ -147,6 +151,11 @@ class TestLexVerbs:
         assert code == 0
         assert parse_ideal(out).max_gen_degree == 5
 
+    def test_sqlex_rejects_unit_ideal(self, capsys):
+        code, out, err = run(capsys, "sqlex", "--gens", "1", "-n", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: the unit ideal has no squarefree lexsegment companion here\n"
+
 
 class TestPhiVerbs:
     def test_phi_roundtrip(self, capsys):
@@ -170,6 +179,14 @@ class TestLseq:
         gens = "x1*x2*x3,x1*x2*x4,x1*x3*x4,x2*x3*x4"
         code, out, _ = run(capsys, "lseq", "--star", "--gens", gens, "-n", "6")
         assert code == 0 and out == "1 3 0 0\n"
+
+    @pytest.mark.parametrize("gens, result", [
+        ("x1^2,x1*x2,x2^2,x1*x3", (0, "1 2 1\n", "")),
+        ("x1,x2^2", (1, "", "error: generators must all have the same degree\n")),
+        ("x1^2,x2^2", (1, "", "error: l-sequences are only meaningful for strongly stable sets\n")),
+    ])
+    def test_output_and_errors(self, capsys, gens, result):
+        assert run(capsys, "lseq", "--gens", gens, "-n", "3") == result
 
 
 class TestCharacterize:

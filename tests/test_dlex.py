@@ -17,10 +17,8 @@ from dreglex.dlex import (
     dlinear_lex_from_l,
     hilbert_from_l,
     is_admissible_l,
-    is_dlinear_lex,
     l_from_hilbert_tail,
     l_sequence,
-    l_sequence_of_set,
     lexd,
     regularity,
     regularity_range,
@@ -29,19 +27,17 @@ from dreglex.errors import DomainError
 from dreglex.ideals import MonomialIdeal, lexify
 from dreglex.koszul import koszul_betti
 from dreglex.macaulay import HilbertSpec, binom, up
-from dreglex.monomials import (
-    GroundRing,
-    Monomial,
-    MonomialSet,
-    iter_degree_desc,
-    parse_monomial,
-    strongly_stable_closure,
-)
+from dreglex.monomials import GroundRing, Monomial, iter_degree_desc, parse_monomial
 from dreglex.squarefree import _l_star_from_counts
 from tests.conftest import (
+    is_dlinear_lex,
+    is_lexsegment_set,
+    lex_desc,
     random_monomial_ideal,
     random_strongly_stable_ideal,
     random_strongly_stable_set,
+    strongly_stable_closure,
+    truncate_geq,
 )
 
 R3 = GroundRing(3)
@@ -52,11 +48,11 @@ def ideal(ring, *texts):
     return MonomialIdeal(ring, [parse_monomial(t, ring) for t in texts])
 
 
-def mset(ring, degree, *texts):
-    return MonomialSet(ring, degree, [parse_monomial(t, ring) for t in texts])
+def mset(ring, *texts):
+    return lex_desc(parse_monomial(t, ring) for t in texts)
 
 
-V_EX1 = mset(R4, 3, "x1^3", "x1^2*x2", "x1*x2^2", "x2^3", "x1^2*x3", "x1*x2*x3", "x2^2*x3", "x1^2*x4")
+V_EX1 = mset(R4, "x1^3", "x1^2*x2", "x1*x2^2", "x2^3", "x1^2*x3", "x1*x2*x3", "x2^2*x3", "x1^2*x4")
 RUNNING = ideal(R4, "x1*x2", "x3*x4")
 
 
@@ -67,15 +63,15 @@ def hspec_of(I, d):
 
 class TestLSequence:
     def test_example_counts(self):
-        I = MonomialIdeal(R4, V_EX1.members)
+        I = MonomialIdeal(R4, V_EX1)
         assert l_sequence(I).entries == (1, 3, 3, 1)
 
     def test_principal_power(self):
         assert l_sequence(ideal(R4, "x1^3")).entries == (1, 0, 0, 0)
 
     def test_closure_of_x1x3(self):
-        V = strongly_stable_closure(mset(R3, 2, "x1*x3"))
-        assert l_sequence_of_set(V).entries == (1, 1, 1)
+        V = strongly_stable_closure(mset(R3, "x1*x3"))
+        assert l_sequence(MonomialIdeal(R3, V)).entries == (1, 1, 1)
 
     def test_mixed_degrees_rejected(self):
         with pytest.raises(DomainError):
@@ -103,7 +99,7 @@ class TestAdmissibility:
         for _ in range(80):
             n, d = rng.randint(2, 4), rng.randint(1, 4)
             V = random_strongly_stable_set(rng, n, d)
-            assert is_admissible_l(l_sequence_of_set(V))
+            assert is_admissible_l(l_sequence(MonomialIdeal(GroundRing(n), V)))
         for _ in range(80):
             n, d = rng.randint(2, 4), rng.randint(1, 3)
             entries = tuple(rng.randint(0, 4) for _ in range(n))
@@ -126,14 +122,14 @@ class TestDLinearConstruction:
     def test_ex1_counts(self):
         J = dlinear_lex_from_l(LSequence((1, 3, 3, 1), 3), R4)
         expected = mset(
-            R4, 3,
+            R4,
             "x1^3", "x1^2*x2", "x1*x2^2", "x2^3", "x1^2*x3", "x1*x2*x3", "x1*x3^2", "x1^2*x4",
         )
-        assert set(J.gens) == set(expected.members)
-        assert is_dlinear_lex(MonomialSet(R4, 3, J.gens))
+        assert set(J.gens) == set(expected)
+        assert is_dlinear_lex(J.gens)
         # unique with these counts: exhaustive search over d-linear subsets
         found = self._search_dlinear(R4, 3, (1, 3, 3, 1))
-        assert found == [set(expected.members)]
+        assert found == [set(expected)]
 
     @staticmethod
     def _search_dlinear(ring, d, counts):
@@ -146,8 +142,7 @@ class TestDLinearConstruction:
         gens = []
         for k, size in enumerate(counts, start=1):
             gens.extend(m.times_var(k) for m in lex_prefix(ring, d - 1, size, max_var=k))
-        V = MonomialSet(ring, d, gens)
-        return [set(V.members)] if is_dlinear_lex(V) else []
+        return [set(gens)] if is_dlinear_lex(gens) else []
 
     def test_inadmissible_rejected(self):
         with pytest.raises(DomainError):
@@ -164,14 +159,11 @@ class TestExhaustiveSmallWorlds:
         """Every strongly stable subset of the degree-d monomials, by closing
         each subset of the (few) closure generators: strongly stable sets are
         exactly the unions of closures of their members."""
-        from dreglex.monomials import enumerate_degree, strongly_stable_closure
+        from dreglex.monomials import enumerate_degree
 
         ring = GroundRing(n)
         members = list(enumerate_degree(ring, d))
-        closures = [
-            frozenset(strongly_stable_closure(MonomialSet(ring, d, [m])).members)
-            for m in members
-        ]
+        closures = [frozenset(strongly_stable_closure([m])) for m in members]
         seen = set()
         out = []
         frontier = [frozenset()]
@@ -197,7 +189,7 @@ class TestExhaustiveSmallWorlds:
             realized = set()
             for s in subsets:
                 if s:
-                    realized.add(l_sequence_of_set(MonomialSet(ring, d, s)).entries)
+                    realized.add(l_sequence(MonomialIdeal(ring, s)).entries)
             bounds = [binom(k + d - 2, d - 1) for k in range(1, n + 1)]
             for entries in _grid(bounds):
                 l = LSequence(entries, d)
@@ -250,10 +242,10 @@ def _grid(bounds):
 
 class TestDLinearPredicate:
     def test_paper_examples(self):
-        L = mset(R3, 3, "x1^3", "x1^2*x2", "x1*x2^2", "x2^3", "x1^2*x3")
+        L = mset(R3, "x1^3", "x1^2*x2", "x1*x2^2", "x2^3", "x1^2*x3")
         assert is_dlinear_lex(L)
         assert not is_dlinear_lex(V_EX1)  # its top slice is not a lex prefix
-        assert is_dlinear_lex(MonomialSet(R4, 3))
+        assert is_dlinear_lex(())
 
 
 class TestHilbertFromCounts:
@@ -265,7 +257,7 @@ class TestHilbertFromCounts:
         l = LSequence((1, 3, 3, 1), 3)
         assert hilbert_from_l(l, 4, 4) == 20
         # enumeration oracle on the witness set
-        I = MonomialIdeal(R4, V_EX1.members)
+        I = MonomialIdeal(R4, V_EX1)
         assert I.hilbert(4) == 20
 
     def test_principal(self):
@@ -283,7 +275,7 @@ class TestTailInversion:
         # 38 and 63 computed by the independent enumeration oracle below
         H = HilbertSpec(4, (0, 0, 0, 8, 20, 38, 63), "ideal")
         assert l_from_hilbert_tail(H, 3).entries == (1, 3, 3, 1)
-        I = MonomialIdeal(R4, V_EX1.members)
+        I = MonomialIdeal(R4, V_EX1)
         assert (I.hilbert(5), I.hilbert(6)) == (38, 63)
         import itertools
 
@@ -309,7 +301,7 @@ class TestTailInversion:
         for _ in range(60):
             n, d = rng.randint(2, 4), rng.randint(1, 4)
             V = random_strongly_stable_set(rng, n, d)
-            I = MonomialIdeal(V.ring, V.members)
+            I = MonomialIdeal(GroundRing(n), V)
             H = hspec_of(I, d)
             assert l_from_hilbert_tail(H, d).entries == l_sequence(I).entries
 
@@ -415,8 +407,8 @@ class TestEquivalenceTriad:
             n, d = rng.randint(2, 4), rng.randint(1, 3)
             V1 = random_strongly_stable_set(rng, n, d)
             V2 = random_strongly_stable_set(rng, n, d)
-            I1 = MonomialIdeal(V1.ring, V1.members)
-            I2 = MonomialIdeal(V2.ring, V2.members)
+            I1 = MonomialIdeal(GroundRing(n), V1)
+            I2 = MonomialIdeal(GroundRing(n), V2)
             same_l = l_sequence(I1).entries == l_sequence(I2).entries
             same_betti = ek_betti(I1) == ek_betti(I2)
             same_hilbert = all(I1.hilbert(t) == I2.hilbert(t) for t in range(d + n + 1))
@@ -430,7 +422,7 @@ class TestEquivalenceTriad:
         for _ in range(60):
             n, d = rng.randint(2, 4), rng.randint(1, 4)
             V = random_strongly_stable_set(rng, n, d)
-            I = MonomialIdeal(V.ring, V.members)
+            I = MonomialIdeal(GroundRing(n), V)
             l = l_sequence(I).entries
             D = ek_betti(I)
             for i in range(n):
@@ -461,9 +453,6 @@ class TestDLexsegmentBasics:
     def test_outputs_have_the_d_lexsegment_shape(self):
         """Slices below d are lex prefixes; the part from degree d on is
         generated by a d-linear lexsegment set."""
-        from dreglex.dlex import is_dlinear_lex
-        from dreglex.monomials import MonomialSet, is_lexsegment_set
-
         rng = random.Random(133)
         for _ in range(30):
             I = random_strongly_stable_ideal(rng, rng.randint(2, 4), 3)
@@ -473,10 +462,10 @@ class TestDLexsegmentBasics:
             J = lexd(I, d)
             for t in range(1, d):
                 assert is_lexsegment_set(J.degree_slice(t))
-            high = J.truncate_geq(d)
+            high = truncate_geq(J, d)
             if not high.is_zero:
                 assert high.min_gen_degree == high.max_gen_degree == d
-                assert is_dlinear_lex(MonomialSet(J.ring, d, high.gens))
+                assert is_dlinear_lex(high.gens)
 
     def test_low_regularity_output_is_lexsegment(self):
         rng = random.Random(137)
@@ -546,7 +535,7 @@ class TestTruncationLinearity:
                 continue
             r = koszul_betti(I).regularity()
             for d in (max(r - 1, 1), r, r + 1):
-                J = I.truncate_geq(d)
+                J = truncate_geq(I, d)
                 single = J.min_gen_degree == J.max_gen_degree == d
                 linear = single and koszul_betti(J).regularity() == d
                 assert linear == (d >= r), (I, d, r)

@@ -8,29 +8,30 @@ from hypothesis import strategies as st
 
 from dreglex.areas import ExtremalArea
 from dreglex.betti import BettiDiagram
-from dreglex.errors import DegreeMismatch, DomainError, FormatError, RingMismatch
+from dreglex.errors import DomainError, FormatError
 from dreglex.ideals import MonomialIdeal
 from dreglex.monomials import (
     GroundRing,
     Monomial,
-    MonomialSet,
     count_monomials,
-    dk_decompose,
     enumerate_degree,
     format_monomial,
-    is_lexsegment_set,
-    is_strongly_stable,
     iter_degree_desc,
-    lex_compare,
     lex_prefix,
     lex_prefix_counts,
     lex_rank,
-    m_le_k,
     parse_monomial,
-    strongly_stable_closure,
 )
 from dreglex.squarefree import SimplicialComplex
-from tests.conftest import random_strongly_stable_set
+from tests.conftest import (
+    dk_decompose,
+    is_lexsegment_set,
+    is_strongly_stable,
+    lex_desc,
+    m_le_k,
+    random_strongly_stable_set,
+    strongly_stable_closure,
+)
 
 R3 = GroundRing(3)
 R4 = GroundRing(4)
@@ -40,54 +41,47 @@ def mons(ring, *texts):
     return [parse_monomial(t, ring) for t in texts]
 
 
-def mset(ring, degree, *texts):
-    return MonomialSet(ring, degree, mons(ring, *texts))
+def mset(ring, *texts):
+    return lex_desc(mons(ring, *texts))
 
 
 # The running strongly stable example with counts (1, 3, 3, 1).
-V_EX1 = mset(R4, 3, "x1^3", "x1^2*x2", "x1*x2^2", "x2^3", "x1^2*x3", "x1*x2*x3", "x2^2*x3", "x1^2*x4")
+V_EX1 = mset(R4, "x1^3", "x1^2*x2", "x1*x2^2", "x2^3", "x1^2*x3", "x1*x2*x3", "x2^2*x3", "x1^2*x4")
 # The 3-linear lexsegment set that is not lexsegment.
-L_EX = mset(R3, 3, "x1^3", "x1^2*x2", "x1*x2^2", "x2^3", "x1^2*x3")
+L_EX = mset(R3, "x1^3", "x1^2*x2", "x1*x2^2", "x2^3", "x1^2*x3")
 
 
 class TestLexCompare:
+    """The lex order of one degree is the order of its slice: u > v iff u
+    comes first in ``enumerate_degree``."""
+
+    @staticmethod
+    def position(u):
+        return enumerate_degree(u.ring, u.degree).index(u)
+
     def test_paper_example(self):
         u, v = mons(R4, "x1*x2*x3", "x2^3")
-        assert lex_compare(u, v) == 1
+        assert self.position(u) < self.position(v)
 
     def test_reflexive(self):
         u = parse_monomial("x1^2*x3", R4)
-        assert lex_compare(u, u) == 0
+        assert enumerate_degree(R4, 3).count(u) == 1
 
     def test_first_exponent_decides(self):
         u, v = mons(R4, "x1^2", "x1*x2")
-        assert lex_compare(u, v) == 1
-
-    def test_degree_mismatch(self):
-        u, v = mons(R4, "x1^2", "x1")
-        with pytest.raises(DegreeMismatch):
-            lex_compare(u, v)
-
-    def test_ring_mismatch(self):
-        with pytest.raises(RingMismatch):
-            lex_compare(parse_monomial("x1", R3), parse_monomial("x1", R4))
+        assert self.position(u) < self.position(v)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_total_order(self, data):
         n = data.draw(st.integers(1, 3))
         d = data.draw(st.integers(1, 4))
-        ring = GroundRing(n)
-        members = list(enumerate_degree(ring, d))
-        u = data.draw(st.sampled_from(members))
-        v = data.draw(st.sampled_from(members))
-        w = data.draw(st.sampled_from(members))
-        # antisymmetric and trichotomous
-        assert lex_compare(u, v) == -lex_compare(v, u)
-        assert (lex_compare(u, v) == 0) == (u == v)
-        # transitive
-        if lex_compare(u, v) >= 0 and lex_compare(v, w) >= 0:
-            assert lex_compare(u, w) >= 0
+        members = enumerate_degree(GroundRing(n), d)
+        i = data.draw(st.integers(0, len(members) - 1))
+        j = data.draw(st.integers(0, len(members) - 1))
+        # the slice is strictly lex-descending, so positions order it totally
+        assert (i < j) == (members[i].exponents > members[j].exponents)
+        assert (i == j) == (members[i] == members[j])
 
 
 class TestMonomialBasics:
@@ -137,13 +131,12 @@ class TestMonomialBasics:
     "make, attr",
     [
         (lambda: parse_monomial("x1^2*x3", R3), "exponents"),
-        (lambda: MonomialSet(R3, 2, [parse_monomial("x1^2", R3)]), "_members"),
         (lambda: MonomialIdeal(R3, [parse_monomial("x1*x2", R3)]), "gens"),
         (lambda: BettiDiagram(3, {(0, 2): 1}), "entries"),
         (lambda: ExtremalArea([(1, 3)]), "corners"),
         (lambda: SimplicialComplex(3, [{1, 2}]), "facets"),
     ],
-    ids=["Monomial", "MonomialSet", "MonomialIdeal", "BettiDiagram", "ExtremalArea", "SimplicialComplex"],
+    ids=["Monomial", "MonomialIdeal", "BettiDiagram", "ExtremalArea", "SimplicialComplex"],
 )
 def test_value_types_reject_assignment_and_deletion(make, attr):
     obj = make()
@@ -170,11 +163,13 @@ class TestEnumerationAndPrefix:
         assert format_monomial(members[0]) == "x1^2"
         assert format_monomial(members[-1]) == "x4^2"
 
-    def test_cap(self):
-        from dreglex.errors import CapExceeded
-
-        with pytest.raises(CapExceeded):
-            enumerate_degree(GroundRing(10), 30, cap=100)
+    def test_slices_are_lex_descending_tuples(self):
+        I = MonomialIdeal(R4, mons(R4, "x1*x2", "x3^2"))
+        slices = (enumerate_degree(R4, 3), lex_prefix(R4, 3, 12), lex_prefix(R4, 3, 9, max_var=3, start=2),
+                  I.degree_slice(3))
+        for got in slices:
+            assert type(got) is tuple and len(got) > 1
+            assert all(u.exponents > v.exponents for u, v in zip(got, got[1:]))
 
     def test_prefix_is_initial_segment(self):
         full = list(enumerate_degree(R4, 3))
@@ -195,14 +190,14 @@ class TestStronglyStable:
         assert is_strongly_stable(V_EX1)
 
     def test_missing_exchange(self):
-        assert not is_strongly_stable(mset(GroundRing(2), 3, "x2^3"))
+        assert not is_strongly_stable(mset(GroundRing(2), "x2^3"))
 
     def test_three_linear_example(self):
         assert is_strongly_stable(L_EX)
 
     def test_closure_forced_moves(self):
-        closed = strongly_stable_closure(mset(GroundRing(2), 2, "x2^2"))
-        assert closed == mset(GroundRing(2), 2, "x1^2", "x1*x2", "x2^2")
+        closed = strongly_stable_closure(mset(GroundRing(2), "x2^2"))
+        assert closed == mset(GroundRing(2), "x1^2", "x1*x2", "x2^2")
 
     def test_closure_fixpoint(self):
         assert strongly_stable_closure(V_EX1) == V_EX1
@@ -210,7 +205,7 @@ class TestStronglyStable:
     def test_closure_matches_bruteforce(self):
         # independent oracle: saturate the one-step exchange relation by
         # repeated full passes until nothing new appears
-        start = mset(R3, 2, "x1*x3")
+        start = mset(R3, "x1*x3")
 
         def brute(members):
             current = set(members)
@@ -224,41 +219,41 @@ class TestStronglyStable:
                     return current
                 current = nxt
 
-        expected = brute(start.members)
-        assert set(strongly_stable_closure(start).members) == expected
-        assert expected == set(mset(R3, 2, "x1^2", "x1*x2", "x1*x3").members)
+        expected = brute(start)
+        assert set(strongly_stable_closure(start)) == expected
+        assert expected == set(mset(R3, "x1^2", "x1*x2", "x1*x3"))
 
     def test_closure_properties(self):
         rng = random.Random(5)
         for _ in range(40):
             V = random_strongly_stable_set(rng, rng.randint(2, 4), rng.randint(1, 4))
             # idempotent and extensive on arbitrary subsets
-            sub = MonomialSet(V.ring, V.degree, V.members[: max(1, len(V) // 2)])
+            sub = V[: max(1, len(V) // 2)]
             closed = strongly_stable_closure(sub)
-            assert set(sub.members) <= set(closed.members)
+            assert set(sub) <= set(closed)
             assert strongly_stable_closure(closed) == closed
             # monotone
-            smaller = MonomialSet(V.ring, V.degree, sub.members[:1])
-            assert set(strongly_stable_closure(smaller).members) <= set(closed.members)
+            smaller = sub[:1]
+            assert set(strongly_stable_closure(smaller)) <= set(closed)
 
 
 class TestDecompositions:
     def test_example_dk(self):
         dk = dk_decompose(V_EX1)
-        assert dk[1] == mset(R4, 2, "x1^2", "x1*x2", "x2^2")
+        assert dk[1] == mset(R4, "x1^2", "x1*x2", "x2^2")
         assert [len(s) for s in dk] == [1, 3, 3, 1]
 
     def test_empty_set(self):
-        dk = dk_decompose(MonomialSet(R4, 3))
+        dk = dk_decompose(())
         assert all(len(s) == 0 for s in dk)
 
     def test_three_linear_example_d3(self):
         dk = dk_decompose(L_EX)
-        assert dk[2] == mset(R3, 2, "x1^2")
+        assert dk[2] == mset(R3, "x1^2")
 
     def test_unit_rejected(self):
         with pytest.raises(DomainError):
-            dk_decompose(MonomialSet(R4, 0, [R4.one()]))
+            dk_decompose([R4.one()])
 
     def test_reconstruction(self):
         rng = random.Random(9)
@@ -268,12 +263,12 @@ class TestDecompositions:
             for k, Dk in enumerate(dk_decompose(V), start=1):
                 rebuilt.extend(m.times_var(k) for m in Dk)
             assert len(rebuilt) == len(V)  # no duplicates
-            assert set(rebuilt) == set(V.members)
+            assert set(rebuilt) == set(V)
 
     def test_m_le_k_examples(self):
-        assert m_le_k(V_EX1, 2) == mset(R4, 3, "x1^3", "x1^2*x2", "x1*x2^2", "x2^3")
+        assert m_le_k(V_EX1, 2) == mset(R4, "x1^3", "x1^2*x2", "x1*x2^2", "x2^3")
         assert m_le_k(V_EX1, 4) == V_EX1
-        assert m_le_k(V_EX1, 1) == mset(R4, 3, "x1^3")
+        assert m_le_k(V_EX1, 1) == mset(R4, "x1^3")
         with pytest.raises(DomainError):
             m_le_k(V_EX1, 5)
 
@@ -291,10 +286,9 @@ class TestSliceCharacterization:
         dk = dk_decompose(V)
         if not all(is_strongly_stable(s) for s in dk):
             return False
-        n = V.ring.num_vars
-        for k in range(2, n + 1):
+        for k in range(2, len(dk) + 1):
             low = m_le_k(dk[k - 1], k - 1)
-            if not set(low.members) <= set(dk[k - 2].members):
+            if not set(low) <= set(dk[k - 2]):
                 return False
         return True
 
@@ -306,9 +300,9 @@ class TestSliceCharacterization:
             V = random_strongly_stable_set(rng, n, d)
             if rng.random() < 0.5 and len(V) > 1:
                 # puncture the closure to get non-strongly-stable sets too
-                members = list(V.members)
+                members = list(V)
                 members.remove(rng.choice(members[: len(members) - 1]))
-                V = MonomialSet(V.ring, V.degree, members)
+                V = tuple(members)
             verdict = is_strongly_stable(V)
             hits[verdict] += 1
             assert verdict == self.slice_conditions(V)
@@ -321,18 +315,18 @@ class TestBigattiComparison:
         for _ in range(120):
             n, d = rng.randint(2, 5), rng.randint(1, 5)
             V = random_strongly_stable_set(rng, n, d)
-            L = lex_prefix(V.ring, d, len(V))
+            L = lex_prefix(GroundRing(n), d, len(V))
             assert is_lexsegment_set(L)
             for k in range(1, n + 1):
                 assert len(m_le_k(V, k)) >= len(m_le_k(L, k))
 
 
 def test_lexsegment_predicate():
-    assert is_lexsegment_set(mset(R4, 2, "x1^2", "x1*x2"))
-    assert not is_lexsegment_set(mset(R4, 2, "x1^2", "x1*x3"))
-    assert is_lexsegment_set(MonomialSet(R4, 2))
+    assert is_lexsegment_set(mset(R4, "x1^2", "x1*x2"))
+    assert not is_lexsegment_set(mset(R4, "x1^2", "x1*x3"))
+    assert is_lexsegment_set(())
     # subring restriction: {x1^2, x1*x2, x2^2} is the full degree-2 segment in 2 vars
-    assert is_lexsegment_set(mset(R4, 2, "x1^2", "x1*x2", "x2^2"), max_var=2)
+    assert is_lexsegment_set(mset(R4, "x1^2", "x1*x2", "x2^2"), max_var=2)
 
 
 class TestLexRanks:
@@ -376,7 +370,7 @@ class TestLexRanks:
     def test_prefix_from_start_is_slice_of_order(self):
         for ring, d, k, order in self.worlds():
             for a, b in self.ranges(len(order)):
-                assert lex_prefix(ring, d, b, max_var=k, start=a).members == tuple(order[a:b])
+                assert lex_prefix(ring, d, b, max_var=k, start=a) == tuple(order[a:b])
 
     def test_prefix_rejects_bad_bounds(self):
         for ring, d, k, order in self.worlds():
@@ -391,7 +385,7 @@ class TestLexRanks:
         # every size from the empty to the full prefix
         for ring, d, k, order in self.worlds():
             for size in range(len(order) + 1):
-                walked = lex_prefix(ring, d, size, max_var=k).members
+                walked = lex_prefix(ring, d, size, max_var=k)
                 want = tuple(sum(m.max_index <= j for m in walked) for j in range(1, k + 1))
                 assert lex_prefix_counts(ring, d, size, max_var=k) == want
             with pytest.raises(DomainError):
@@ -407,7 +401,6 @@ class TestLexRanks:
             sets = [order[a:b] for a, b in self.ranges(len(order))]
             sets += [order[:i] + order[i + 1:b] for b in range(min(len(order), 20) + 1) for i in range(b)]
             for members in sets:
-                V = MonomialSet(ring, d, members)
                 for j in range(1, n + 1):
-                    assert is_lexsegment_set(V, max_var=j) == (members == prefixes[j][: len(members)])
-                assert is_lexsegment_set(V) == is_lexsegment_set(V, max_var=n)
+                    assert is_lexsegment_set(members, max_var=j) == (members == prefixes[j][: len(members)])
+                assert is_lexsegment_set(members) == is_lexsegment_set(members, max_var=n)

@@ -105,7 +105,7 @@ class TestPhiIdeal:
         for _ in range(100):
             n, d = rng.randint(2, 4), rng.randint(1, 4)
             V = random_strongly_stable_set(rng, n, d)
-            I = MonomialIdeal(V.ring, V.members)
+            I = MonomialIdeal(GroundRing(n), V)
             J = phi_ideal(I)
             assert J.is_squarefree_strongly_stable()
             assert phi_inv_ideal(J) == I
@@ -130,7 +130,7 @@ class TestPhiTilde:
         for _ in range(120):
             n = rng.randint(3, 5)
             V = random_strongly_stable_set(rng, n, rng.randint(1, 3), seeds=1)
-            I = MonomialIdeal(V.ring, V.members)
+            I = MonomialIdeal(GroundRing(n), V)
             if I.is_zero or any(g.max_index + g.degree - 1 > n for g in I.gens):
                 continue
             J = phi_tilde(I)
@@ -156,18 +156,17 @@ class TestLStar:
 def _is_dlinear_sq_lex(I):
     """Generator-set predicate: squarefree strongly stable and every
     max-index slice a squarefree lexsegment in the variables below it."""
-    from tests.conftest import sq_prefix
-    from dreglex.monomials import MonomialSet, dk_decompose
+    from tests.conftest import dk_decompose, sq_prefix
 
     if not I.is_squarefree_strongly_stable():
         return False
-    V = MonomialSet(I.ring, I.max_gen_degree, I.gens)
-    for k, Dk in enumerate(dk_decompose(V), start=1):
-        if len(Dk) == 0 or V.degree == 1:  # degree-1 slices are singleton units
+    d = I.max_gen_degree
+    for k, Dk in enumerate(dk_decompose(I.gens), start=1):
+        if len(Dk) == 0 or d == 1:  # degree-1 slices are singleton units
             continue
         sub = GroundRing(k - 1)
         members = tuple(Monomial(m.exponents[: k - 1]) for m in Dk)
-        if set(members) != set(sq_prefix(sub, V.degree - 1, len(members))):
+        if set(members) != set(sq_prefix(sub, d - 1, len(members))):
             return False
     return True
 
@@ -176,16 +175,15 @@ class TestDLinearCorrespondence:
     def test_spreading_preserves_the_d_linear_lex_shape(self):
         """An ideal is d-linear lexsegment exactly when its spread is d-linear
         squarefree lexsegment; swept over constructed and perturbed inputs."""
-        from dreglex.dlex import is_dlinear_lex
-        from dreglex.monomials import MonomialSet
+        from tests.conftest import is_dlinear_lex
 
         rng = random.Random(271)
         hits = {True: 0, False: 0}
         for _ in range(100):
             n, d = rng.randint(2, 4), rng.randint(1, 4)
             V = random_strongly_stable_set(rng, n, d)
-            I = MonomialIdeal(V.ring, V.members)
-            left = is_dlinear_lex(MonomialSet(V.ring, d, I.gens))
+            I = MonomialIdeal(GroundRing(n), V)
+            left = is_dlinear_lex(I.gens)
             right = _is_dlinear_sq_lex(phi_ideal(I))
             assert left == right
             hits[left] += 1
@@ -246,8 +244,8 @@ class TestSqEquivalenceTriad:
 
             V1 = random_sq_strongly_stable_set(rng, n, min(d, n))
             V2 = random_sq_strongly_stable_set(rng, n, min(d, n))
-            I1 = MonomialIdeal(V1.ring, V1.members)
-            I2 = MonomialIdeal(V2.ring, V2.members)
+            I1 = MonomialIdeal(GroundRing(n), V1)
+            I2 = MonomialIdeal(GroundRing(n), V2)
             same_l = l_star(I1).entries == l_star(I2).entries
             same_betti = ahh_betti(I1) == ahh_betti(I2)
             same_hilbert = all(I1.hilbert(t) == I2.hilbert(t) for t in range(n + 2))
