@@ -25,11 +25,36 @@ unpaired faces contain v and have F - v non-standard.  They span a
 subcomplex, since dropping v gives zero and dropping any other position
 stays unpaired or non-standard.  The quotient by it is the cone of an
 isomorphism, hence acyclic, so the subcomplex has the block's homology.
+
+Generators whose supports meet are joined into components; the components
+live in disjoint variables, so S/I is the tensor product of their quotients,
+whose minimal resolutions tensor to a minimal one.  The Betti polynomial
+sum beta_{i,j}(S/I) s^i t^j is then the product of the components'
+polynomials, and a complete intersection costs one small block per
+generator instead of one block over the union of their supports.  The lcm
+lattice is the product of the components' lattices, and the cap bounds its
+size.
+
+Within a component the blocks see only how the exponents of each variable
+compare, so each exponent is replaced by its rank among 0 and that
+variable's exponents, and degrees are read back from the ranks.  One index
+per component serves every block: masks[k][v] is the bitmask of the
+generators with g_k <= v.  The divisors of x^a are the AND over k of
+masks[k][a_k], the divisors slack at a support position are the divisors in
+masks[k][a_k - 1], and one pass over the set bits of those per-position
+masks gives each divisor's slack mask.  The lcm lattice is closed under
+bitwise OR of codes that write e_k as e_k low bits of a fixed-width field
+per variable, and each point is decoded once.  Many blocks share their
+critical faces, so one oracle call ranks each (support size, faces) pair
+once and remembers its homology.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
+import math
 import operator
 
 from .betti import BettiDiagram
@@ -149,36 +174,109 @@ def _strand_homology(s: int, faces: int) -> dict[int, int]:
     return out
 
 
-def _block_betti(gens: tuple[tuple[int, ...], ...], a: tuple[int, ...]) -> dict[int, int]:
+def _threshold_masks(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
+    """The ideal's index: masks[k][v] is the bitmask of the generators g (bit i
+    for gens[i]) with g_k <= v, for v from 0 up to the top exponent of x_k;
+    a larger v reads the top entry, which holds every generator."""
+    masks = []
+    for col in zip(*gens):
+        row = [0] * (max(col) + 1)
+        for i, e in enumerate(col):
+            row[e] |= 1 << i
+        masks.append(tuple(itertools.accumulate(row, operator.or_)))
+    return tuple(masks)
+
+
+def _divisor_masks(masks: tuple[tuple[int, ...], ...], a: tuple[int, ...]) -> tuple[int, list[int]]:
+    """(divisors, slack): the bitmask of the generators dividing x^a, the AND
+    of masks[k][a_k], and for each support position of a, in order, the
+    divisors g with g_k < a_k there, i.e. divisors & masks[k][a_k - 1]."""
+    divisors = masks[0][-1]  # every generator
+    below = []
+    for e, row in zip(a, masks):
+        if e < len(row):
+            divisors &= row[e]
+            if e:
+                below.append(row[e - 1])
+        else:  # past the top exponent every generator has room
+            below.append(row[-1])
+    return divisors, [divisors & m for m in below]
+
+
+def _block_betti(
+    masks: tuple[tuple[int, ...], ...], a: tuple[int, ...], memo: dict[tuple[int, int], dict[int, int]]
+) -> dict[int, int]:
     """Homology dimensions of the Koszul strand at one multidegree.
 
     Returns {i: beta_{i,|a|}(S/I) contribution}, computed on the critical
     faces of the one-vertex matching with the fewest of them (the lowest
     position on ties); with an empty support the block keeps its faces.
+    `memo` maps (s, faces) to homology already computed in this oracle call.
     """
-    supp = [k for k, e in enumerate(a) if e]
-    s = len(supp)
+    divisors, slack = _divisor_masks(masks, a)
+    s = len(slack)
     full, has, _ = _face_tables(s)
-    # bit pos of slack(g) is set iff g leaves room at supp[pos]; a face mask
-    # is non-standard iff it is a submask of some generator's slack mask, so
-    # the non-standard faces are the down-closure of the slack masks' bits
-    ns = 0
-    for g in gens:
-        if all(map(operator.le, g, a)):
-            ns |= 1 << sum(1 << pos for pos, k in enumerate(supp) if g[k] < a[k])
+    # bit pos of a divisor's slack mask is set iff it leaves room at supp[pos];
+    # a face mask is non-standard iff it is a submask of some divisor's slack
+    # mask, so the non-standard faces are the down-closure of those masks'
+    # bits.  One pass over the set bits of each position's slack divisors
+    # builds them; every divisor, x^a itself with no slack position too,
+    # makes the empty face (bit 0) non-standard
+    by_divisor: dict[int, int] = {}
+    for pos, bits in enumerate(slack):
+        while bits:
+            low = bits & -bits
+            by_divisor[low] = by_divisor.get(low, 0) | 1 << pos
+            bits ^= low
+    ns = 1 if divisors else 0
+    for mask in by_divisor.values():
+        ns |= 1 << mask
     ns = _down_closure(ns, has)
     std = full & ~ns
     faces = min(_critical_faces(std, ns, has), key=int.bit_count) if s else std
-    return _strand_homology(s, faces) if faces else {}
+    if not faces:
+        return {}
+    key = (s, faces)
+    if key not in memo:
+        memo[key] = _strand_homology(s, faces)
+    return memo[key]
 
 
 def _lcm_lattice(gens: tuple[tuple[int, ...], ...], cap: int) -> set[tuple[int, ...]]:
-    lattice = {(0,) * len(gens[0])}
+    """The lcms of all subsets of `gens`, the empty one (0) included.  Each
+    exponent e_k is coded as e_k low bits of a field of width top + 1, so the
+    lcm of two codes is their bitwise OR; each point is decoded once."""
+    width = max(map(max, gens)) + 1
+    field = (1 << width) - 1
+    shifts = range(0, len(gens[0]) * width, width)
+    codes = {0}
     for g in gens:
-        lattice |= {tuple(map(max, m, g)) for m in lattice}
-        if len(lattice) > cap:
+        code = sum(((1 << e) - 1) << shift for e, shift in zip(g, shifts))
+        codes |= {c | code for c in codes}
+        if len(codes) > cap:
             raise CapExceeded(f"lcm lattice exceeds the cap of {cap} multidegrees")
-    return lattice
+    return {tuple([(c >> shift & field).bit_length() for shift in shifts]) for c in codes}
+
+
+def _components(masks: tuple[tuple[int, ...], ...]) -> list[int]:
+    """The bitmasks of the connected components of the graph joining two
+    generators whose supports meet, read off the index: the generators
+    divisible by x_k are those outside masks[k][0]."""
+    every = masks[0][-1]
+    parts: list[int] = []
+    for row in masks:
+        joined = every & ~row[0]
+        if joined:
+            # the parts are disjoint, so a part meets the growing union
+            # exactly when it meets the generators divisible by x_k
+            rest = []
+            for part in parts:
+                if part & joined:
+                    joined |= part
+                else:
+                    rest.append(part)
+            parts = rest + [joined]
+    return parts
 
 
 def koszul_betti(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> BettiDiagram:
@@ -190,13 +288,40 @@ def koszul_betti(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> BettiDiagr
     if I.is_zero:
         return BettiDiagram(I.ring.num_vars, {})
     gens = tuple(g.exponents for g in I.gens)
-    entries: dict[tuple[int, int], int] = {}
-    for a in _lcm_lattice(gens, cap):
-        j = sum(a)
-        if not j:
-            continue
-        for i, v in _block_betti(gens, a).items():
-            if i == 0:
-                raise AssertionError(f"unexpected homology at homological index 0, degree {j}")
-            entries[(i - 1, j)] = entries.get((i - 1, j), 0) + v
-    return BettiDiagram(I.ring.num_vars, entries)
+    # exponent ranks keep mask rows and lattice codes short for any
+    # exponent; values[k][r] is the exponent of x_k with rank r
+    values = [sorted({0, *col}) for col in zip(*gens)]
+    ranks = tuple(tuple(map(bisect.bisect_left, values, g)) for g in gens)
+    masks = _threshold_masks(ranks)
+    lattices = [
+        _lcm_lattice(tuple(g for i, g in enumerate(ranks) if part >> i & 1), cap) for part in _components(masks)
+    ]
+    # the lcm lattice of I is the product of its components' lattices
+    if math.prod(map(len, lattices)) > cap:
+        raise CapExceeded(f"lcm lattice exceeds the cap of {cap} multidegrees")
+    # a point of one component's lattice is divisible by no generator of
+    # another, so the whole ideal's index serves every component
+    memo: dict[tuple[int, int], dict[int, int]] = {}
+    factors = []  # S/I-indexed: (i, j) -> beta_{i,j}(S/I_k)
+    for lattice in lattices:
+        factor = {(0, 0): 1}
+        for a in lattice:
+            if not any(a):
+                continue
+            for i, v in _block_betti(masks, a, memo).items():
+                j = sum(map(list.__getitem__, values, a))
+                if i == 0:
+                    raise AssertionError(f"unexpected homology at homological index 0, degree {j}")
+                factor[(i, j)] = factor.get((i, j), 0) + v
+        factors.append(factor)
+    product = functools.reduce(_multiply, factors)
+    return BettiDiagram(I.ring.num_vars, {(i - 1, j): v for (i, j), v in product.items() if i})
+
+
+def _multiply(p: dict[tuple[int, int], int], q: dict[tuple[int, int], int]) -> dict[tuple[int, int], int]:
+    """The product of two Betti polynomials {(i, j): coefficient of s^i t^j}."""
+    out: dict[tuple[int, int], int] = {}
+    for (i, j), v in p.items():
+        for (i2, j2), v2 in q.items():
+            out[(i + i2, j + j2)] = out.get((i + i2, j + j2), 0) + v * v2
+    return out

@@ -54,6 +54,8 @@ def phi_tilde(I: MonomialIdeal) -> MonomialIdeal:
     satisfies max(u) + deg(u) - 1 <= n.  Preserves all graded Betti numbers."""
     if I.is_zero:
         return I
+    if I.is_unit:
+        raise DomainError("the unit ideal is outside the spreading phi_tilde")
     if not I.is_strongly_stable():
         raise DomainError("phi_tilde needs a strongly stable ideal")
     n = I.ring.num_vars

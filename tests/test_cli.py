@@ -168,6 +168,11 @@ class TestPhiVerbs:
         _, out, _ = run(capsys, "phi-tilde", "--gens", "x1^2,x1*x2", "-n", "4")
         assert out == "n=4\nx1*x2\nx1*x3\n"
 
+    def test_phi_tilde_rejects_unit_ideal(self, capsys):
+        code, out, err = run(capsys, "phi-tilde", "--gens", "1", "-n", "3")
+        assert (code, out) == (1, "")
+        assert err == "error: the unit ideal is outside the spreading phi_tilde\n"
+
 
 class TestLseq:
     def test_counts(self, capsys):

@@ -9,21 +9,25 @@ import random
 import pytest
 
 from dreglex.betti import BettiDiagram, ahh_betti, ek_betti
-from dreglex.errors import DomainError
+from dreglex.errors import CapExceeded, DomainError
 from dreglex.ideals import MonomialIdeal
 import dreglex.koszul
 from dreglex.koszul import (
     _block_betti,
+    _components,
     _critical_faces,
+    _divisor_masks,
     _down_closure,
     _face_tables,
     _lcm_lattice,
     _strand_homology,
+    _threshold_masks,
     exact_rank,
     koszul_betti,
 )
 from dreglex.monomials import GroundRing, Monomial, parse_monomial
 from tests.conftest import (
+    random_monomial,
     random_monomial_ideal,
     random_sq_strongly_stable_ideal,
     random_strongly_stable_ideal,
@@ -86,6 +90,22 @@ class TestOracleBasics:
         # Koszul complex itself: beta_i(I) = C(n, i+1) in degree i+1
         D = koszul_betti(ideal(GroundRing(3), "x1", "x2", "x3"))
         assert D.entries == {(0, 1): 3, (1, 2): 3, (2, 3): 1}
+
+    def test_large_exponents_index_their_ranks(self, monkeypatch):
+        """(x1^N, x1*x2, x2^3*x3) with N = 10^6: the index and the lattice
+        codes see each variable's exponent ranks, so they do not grow with N."""
+        rows = []
+
+        def recording(gens):
+            masks = _threshold_masks(gens)
+            rows.extend(map(len, masks))
+            return masks
+
+        monkeypatch.setattr(dreglex.koszul, "_threshold_masks", recording)
+        N = 10**6
+        I = MonomialIdeal(GroundRing(3), [Monomial((N, 0, 0)), Monomial((1, 1, 0)), Monomial((0, 3, 1))])
+        assert koszul_betti(I).entries == {(0, 2): 1, (0, 4): 1, (1, 5): 1, (0, N): 1, (1, N + 1): 1}
+        assert max(rows) == 3
 
     def test_non_stable_example(self):
         # (x1^2, x1*x2, x2^3) vs its reverse-variable twin: same Betti numbers
@@ -345,8 +365,9 @@ class TestBlockBitsets:
             lattice = _lcm_lattice(gens, 10**4)
             top = [max(col) + 1 for col in zip(*gens)]
             off = [tuple(rng.randint(0, t) for t in top) for _ in range(10)]
+            masks, memo = _threshold_masks(gens), {}
             for a in sorted(lattice) + off:
-                got = _block_betti(gens, a)
+                got = _block_betti(masks, a, memo)
                 assert got == slack_scan_block_betti(gens, a), (I, a)
                 if a not in lattice:
                     assert got == {}, (I, a)
@@ -377,21 +398,124 @@ class TestBlockBitsets:
         assert nonzero >= 40, nonzero
 
 
+class TestThresholdIndex:
+    def test_divisor_and_slack_masks_match_direct_scan(self):
+        """Points up to two past the top exponent of each variable, where the
+        index reads its top entry."""
+        rng = random.Random(109)
+        past_top = 0
+        for _ in range(40):
+            n = rng.randint(1, 6)
+            I = random_monomial_ideal(rng, n, 4, count=rng.randint(1, 6))
+            if I.is_unit:
+                continue
+            gens = tuple(g.exponents for g in I.gens)
+            masks = _threshold_masks(gens)
+            top = [max(col) for col in zip(*gens)]
+            for k in range(n):
+                assert masks[k] == tuple(
+                    sum(1 << i for i, g in enumerate(gens) if g[k] <= v) for v in range(top[k] + 1)
+                )
+            for _ in range(20):
+                a = tuple(rng.randint(0, t + 2) for t in top)
+                divisors = sum(1 << i for i, g in enumerate(gens) if all(map(operator.le, g, a)))
+                slack = [
+                    sum(1 << i for i, g in enumerate(gens) if divisors >> i & 1 and g[k] < a[k])
+                    for k in range(n)
+                    if a[k]
+                ]
+                assert _divisor_masks(masks, a) == (divisors, slack), (I, a)
+                past_top += any(e > t for e, t in zip(a, top))
+        assert past_top >= 100
+
+    def test_lcm_lattice_matches_max_closure(self):
+        """The OR-coded lattice against the closure under exponent-wise max,
+        exponents up to 4; the cap counts the same points."""
+        rng = random.Random(113)
+        for _ in range(40):
+            n = rng.randint(1, 5)
+            I = random_monomial_ideal(rng, n, 4, count=rng.randint(1, 7))
+            if I.is_unit:
+                continue
+            gens = tuple(g.exponents for g in I.gens)
+            expected = {(0,) * n}
+            for g in gens:
+                expected |= {tuple(map(max, m, g)) for m in expected}
+            assert _lcm_lattice(gens, len(expected)) == expected, I
+            with pytest.raises(CapExceeded):
+                _lcm_lattice(gens, len(expected) - 1)
+
+
+def unsplit_betti(I):
+    """The oracle without the component split: every block of the whole lcm
+    lattice, each with a memo of its own."""
+    gens = tuple(g.exponents for g in I.gens)
+    masks = _threshold_masks(gens)
+    entries = {}
+    for a in _lcm_lattice(gens, 10**5):
+        if any(a):
+            for i, v in _block_betti(masks, a, {}).items():
+                entries[(i - 1, sum(a))] = entries.get((i - 1, sum(a)), 0) + v
+    return entries
+
+
+class TestComponents:
+    def test_product_matches_unsplit_oracle(self):
+        """Ideals on two disjoint variable sets, n <= 8: the product of the
+        components' Betti polynomials against the whole lattice's blocks."""
+        rng = random.Random(127)
+        for _ in range(30):
+            n1 = rng.randint(1, 4)
+            n2 = rng.randint(1, 8 - n1)
+            left = [random_monomial(rng, n1, rng.randint(1, 3)).exponents + (0,) * n2
+                    for _ in range(rng.randint(1, 3))]
+            right = [(0,) * n1 + random_monomial(rng, n2, rng.randint(1, 3)).exponents
+                     for _ in range(rng.randint(1, 3))]
+            I = MonomialIdeal(GroundRing(n1 + n2), [Monomial(e) for e in left + right])
+            assert len(_components(_threshold_masks(tuple(g.exponents for g in I.gens)))) >= 2
+            assert koszul_betti(I).entries == unsplit_betti(I), I
+
+    def test_components_join_meeting_supports(self):
+        gens = ((1, 1, 0, 0, 0), (0, 0, 1, 0, 0), (0, 1, 0, 0, 1), (0, 0, 0, 2, 0), (0, 0, 1, 1, 0))
+        assert sorted(_components(_threshold_masks(gens))) == [0b00101, 0b11010]
+
+    def test_complete_intersection_in_22_variables(self, monkeypatch):
+        """(x1*...*x11, x12*...*x22): two blocks of 11 support positions,
+        not one of 22."""
+        widths = []
+
+        def recording(masks, a, memo):
+            widths.append(sum(1 for e in a if e))
+            return _block_betti(masks, a, memo)
+
+        monkeypatch.setattr(dreglex.koszul, "_block_betti", recording)
+        I = MonomialIdeal(GroundRing(22), [Monomial((1,) * 11 + (0,) * 11), Monomial((0,) * 11 + (1,) * 11)])
+        assert koszul_betti(I).entries == {(0, 11): 2, (1, 22): 1}
+        assert max(widths) == 11
+
+    def test_cap_counts_the_whole_lattice(self):
+        # two components of 2 points each: the lcm lattice has 4
+        I = ideal(R4, "x1*x2", "x3*x4")
+        assert koszul_betti(I, cap=4).entries == {(0, 2): 2, (1, 4): 1}
+        with pytest.raises(CapExceeded, match="lcm lattice exceeds the cap of 3 multidegrees"):
+            koszul_betti(I, cap=3)
+
+
 class TestWorkPinned:
     """The exact_rank calls and matrix cells of two oracle runs, recorded from
-    the one-vertex matching that ranks only the critical faces.  The lcm
-    lattice sizes are pinned too, so the same blocks are visited; ranking
-    every standard face took all_faces, and each pair must stay strictly
-    below that.
+    the one-vertex matching that ranks only the critical faces, with each
+    distinct critical face set ranked once per oracle call.  The lcm lattice
+    sizes are pinned too, so the same blocks are visited; ranking every
+    standard face took all_faces, and each pair must stay strictly below that.
     exact_rank is patched through its module global, the name the bench
     tracer wraps."""
 
     @pytest.mark.parametrize(
         "n, gens, lattice, calls, cells, all_faces",
         [
-            (8, [f"x{i}*x{i % 8 + 1}" for i in range(1, 9)], 90, 103, 460, (236, 6848)),
+            (8, [f"x{i}*x{i % 8 + 1}" for i in range(1, 9)], 90, 47, 305, (236, 6848)),
             (5, ["x1^3", "x1^2*x2", "x1*x2*x3", "x2^2*x4", "x1*x3*x5", "x2*x3^2",
-                 "x3*x4*x5", "x1*x4^2", "x2*x5^2", "x4^3", "x3^2*x5", "x1*x2*x5"], 224, 15, 23, (202, 1102)),
+                 "x3*x4*x5", "x1*x4^2", "x2*x5^2", "x4^3", "x3^2*x5", "x1*x2*x5"], 224, 12, 18, (202, 1102)),
         ],
         ids=["8-cycle", "one-degree-n5-d3"],
     )
@@ -408,6 +532,28 @@ class TestWorkPinned:
         koszul_betti(I)
         assert (len(seen), sum(seen)) == (calls, cells)
         assert calls < all_faces[0] and cells < all_faces[1]
+
+    def test_memo_ranks_each_face_set_once(self, monkeypatch):
+        """On the 8-cycle, blocks with a memo of their own each compute
+        their homology; one oracle call computes fewer, each key once."""
+        seen = []
+
+        def counting(s, faces):
+            seen.append((s, faces))
+            return _strand_homology(s, faces)
+
+        I = ideal(GroundRing(8), *(f"x{i}*x{i % 8 + 1}" for i in range(1, 9)))
+        gens = tuple(g.exponents for g in I.gens)
+        monkeypatch.setattr(dreglex.koszul, "_strand_homology", counting)
+        masks = _threshold_masks(gens)
+        for a in _lcm_lattice(gens, 10**4):
+            if any(a):
+                _block_betti(masks, a, {})
+        blocks = len(seen)
+        seen.clear()
+        koszul_betti(I)
+        assert len(seen) < blocks
+        assert len(set(seen)) == len(seen)
 
 
 def test_twelve_cycle_known_answer():

@@ -142,6 +142,10 @@ class TestPhiTilde:
         with pytest.raises(DomainError):
             phi_tilde(ideal(R2, "x1*x2"))  # max 2 + deg 2 - 1 = 3 > 2
 
+    def test_unit_ideal_rejected(self):
+        with pytest.raises(DomainError, match="unit ideal"):
+            phi_tilde(ideal(R4, "1"))
+
 
 class TestLStar:
     def test_sqlex3_counts(self):
