@@ -6,14 +6,16 @@ d-regular ideals, and the regularity range of a Hilbert function.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from typing import Iterable
 
 from .betti import BettiDiagram, ahh_betti, ek_betti
 from .errors import DomainError
 from .ideals import MonomialIdeal, lex_layers, lexify
 from .koszul import DEFAULT_LATTICE_CAP, koszul_betti
 from .macaulay import HilbertSpec, binom, is_m_vector, up
-from .monomials import GroundRing, lex_prefix, lex_prefix_counts
+from .monomials import GroundRing, Monomial, lex_prefix, lex_prefix_counts
 
 
 @dataclass(frozen=True)
@@ -75,16 +77,31 @@ def dlinear_lex_from_l(l: LSequence, ring: GroundRing) -> MonomialIdeal:
     """The unique d-linear lexsegment ideal with the given counts: generated by
     the union over k of x_k * B_k, B_k the size-l_k lex prefix of degree d-1
     in the first k variables."""
+    require_realizable(l, ring)
+    return MonomialIdeal._from_minimal(ring, dlinear_layer(l, ring, itertools.repeat(0)))
+
+
+def require_realizable(l: LSequence, ring: GroundRing) -> None:
+    """Raise DomainError unless a degree-d strongly stable generating set over
+    ``ring`` realizes l."""
     if l.num_vars != ring.num_vars:
         raise DomainError(f"sequence has {l.num_vars} slots, ring has {ring.num_vars} variables")
     if not is_admissible_l(l):
         raise DomainError(f"{l.entries} is not realizable in degree {l.degree}")
-    d = l.degree
-    return MonomialIdeal(ring, (
+
+
+def dlinear_layer(l: LSequence, ring: GroundRing, below: Iterable[int]) -> list[Monomial]:
+    """The degree-d generators x_k * b, b in B_k less its first below[k - 1]
+    members, of a d-lexsegment ideal whose degree-(d-1) slice holds exactly
+    those first members of each B_k (none for the d-linear one); l must be
+    realizable over ``ring``.  The generators with largest variable x_k are
+    distinct, so the layer is minimal."""
+    return [
         b.times_var(k)
-        for k, size in enumerate(l.entries, start=1)
-        for b in lex_prefix(ring, d - 1, size, max_var=k)
-    ))
+        for k, (size, c) in enumerate(zip(l.entries, below), start=1)
+        # c > size: no d-lex ideal has these counts; the caller's check fails
+        for b in lex_prefix(ring, l.degree - 1, size, max_var=k, start=min(c, size))
+    ]
 
 
 def hilbert_from_l(l: LSequence, num_vars: int, t: int) -> int:
@@ -202,11 +219,8 @@ def dlex_from_hilbert(H: HilbertSpec, d: int) -> MonomialIdeal:
         raise DomainError(f"H is not the Hilbert function of a {d}-regular ideal: condition {verdict.failed_condition}")
     ring = GroundRing(H.num_vars)
     gens = [m for new in lex_layers(ring, H.values[1:d]) for m in new]
-    below = lex_prefix_counts(ring, d - 1, H.value(d - 1))
-    for k, (size, c) in enumerate(zip(verdict.witness_l.entries, below), start=1):
-        # c > size: no d-lex ideal has these counts; J then exceeds H(d) and fails below
-        gens.extend(b.times_var(k) for b in lex_prefix(ring, d - 1, size, max_var=k, start=min(c, size)))
-    J = MonomialIdeal(ring, gens)
+    gens += dlinear_layer(verdict.witness_l, ring, lex_prefix_counts(ring, d - 1, H.value(d - 1)))
+    J = MonomialIdeal._from_minimal(ring, gens)
     for t in range(0, H.top + 1):
         if J.hilbert(t) != H.value(t):
             raise AssertionError(f"constructed ideal misses H({t}); construction bug or inconsistent input")

@@ -15,16 +15,35 @@ stability predicates read the minimal generators only.  ``degree_slice``
 lists the members of one degree by testing every monomial of that degree, the
 reference the counts are checked against; no library path calls it.
 
+Divisibility has one index, built once per ideal on first use
+(``MonomialIdeal.threshold_index``): for each variable x_k the sorted
+distinct exponents values[k], 0 included, and masks[k][r], the bitmask of the
+generators g with g_k <= values[k][r].  Rows are rank-compressed, so their
+length is the number of distinct exponents, however large those are.  The
+generators dividing m are the AND over k of the rows at the largest value
+not above m_k: ``contains``, and through it the stability predicates, read
+it, and so does the Koszul oracle.  ``minimalize`` builds the same index over
+its candidates below the top degree and keeps a candidate iff none of lower
+degree divides it.  The colon step of the pivot recursion keeps its direct
+scan: its generator lists change at every step, and an index per step
+measured 1.4 to 1.9 times slower there.
+
 Both lexifications are built generator by generator from lex ranks, with only
 the sizes of the spans computed; SqLex takes the lex prefixes of degree t in
 n - t + 1 variables and carries them onto the squarefree ones through phi.
+Their layers, and those of the d-lexsegment builders in ``dlex`` and
+``squarefree``, are minimal by construction (each degree's new generators lie
+outside the span of the slice below), so they enter the ideal through
+``MonomialIdeal._from_minimal``, which only sorts them into canonical order.
+User input always goes through the minimalizing constructor.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from math import comb
-from operator import le
+from operator import attrgetter, le, or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DomainError, FormatError, RingMismatch
@@ -44,20 +63,68 @@ T = TypeVar("T")
 
 
 def minimalize(ring: GroundRing, gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    """Divisibility-minimal subset of a generating set; idempotent.  Only a
-    kept generator of lower degree can divide a candidate."""
-    unique = sorted(set(gens), key=lambda m: (m.degree, tuple(-e for e in m.exponents)))
-    kept: list[Monomial] = []
-    below: list[tuple[int, ...]] = []  # exponents of the kept generators of lower degree
+    """Divisibility-minimal subset of a generating set, in canonical order;
+    idempotent.  A candidate is redundant iff a candidate of strictly lower
+    degree divides it; by transitivity that divisor need not be kept itself,
+    so one threshold index over the candidates below the top degree, the
+    only possible divisors, answers every test: a candidate's divisors among
+    them, masked to the candidates before its degree."""
+    unique = _canonical(set(gens))
     for m in unique:
         if m.num_vars != ring.num_vars:
             raise RingMismatch(f"generator over {m.num_vars} variables in ring with {ring.num_vars}")
-        if kept and kept[-1].degree < m.degree:
-            below.extend(g.exponents for g in kept[len(below):])
-        me = m.exponents
-        if not any(all(map(le, g, me)) for g in below):
+    degrees = list(map(_DEGREE, unique))
+    below_top = bisect_left(degrees, degrees[-1]) if unique else 0
+    if not below_top:
+        return unique
+    index = _threshold_index([m.exponents for m in unique[:below_top]], ring.num_vars)
+    kept = list(unique[:bisect_right(degrees, degrees[0])])  # the lowest degree has no divisor
+    for m, d in zip(unique[len(kept):], degrees[len(kept):]):
+        if not _divisors(index, m.exponents) & ((1 << bisect_left(degrees, d)) - 1):
             kept.append(m)
     return tuple(kept)
+
+
+def _canonical(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    """The monomials by degree, lex-descending within each degree: a stable
+    sort by degree after a descending sort by exponent vector."""
+    return tuple(sorted(sorted(gens, key=_EXPONENTS, reverse=True), key=_DEGREE))
+
+
+_EXPONENTS = attrgetter("exponents")
+_DEGREE = attrgetter("degree")
+
+# values[k], masks[k] for each variable x_k: see ``_threshold_index``
+ThresholdIndex = tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+
+
+def _threshold_index(gens: Sequence[tuple[int, ...]], num_vars: int) -> ThresholdIndex:
+    """(values, masks) for the exponent vectors ``gens``: values[k] the sorted
+    distinct exponents of x_k, 0 included, and masks[k][r] the bitmask of the
+    g (bit i for gens[i]) with g_k <= values[k][r].  A row has one entry per
+    distinct exponent, however large the exponents are."""
+    if not gens:
+        return ((0,),) * num_vars, ((0,),) * num_vars
+    values, masks = [], []
+    for col in zip(*gens):
+        row = dict.fromkeys(sorted({0, *col}), 0)  # exponent -> the g with g_k equal to it
+        bit = 1
+        for e in col:
+            row[e] |= bit
+            bit <<= 1
+        values.append(tuple(row))
+        masks.append(tuple(itertools.accumulate(row.values(), or_)))
+    return tuple(values), tuple(masks)
+
+
+def _divisors(index: ThresholdIndex, exponents: tuple[int, ...]) -> int:
+    """The bitmask of the indexed generators dividing x^exponents: the AND
+    over k of the row at the largest value of x_k not above e_k."""
+    values, masks = index
+    hit = -1
+    for e, vals, row in zip(exponents, values, masks):
+        hit &= row[bisect_right(vals, e) - 1]
+    return hit
 
 
 def series_coefficient(num_vars: int, numerator: Sequence[int], t: int) -> int:
@@ -131,6 +198,18 @@ class MonomialIdeal:
         object.__setattr__(self, "gens", minimalize(ring, gens))
         object.__setattr__(self, "_cache", {})
 
+    @classmethod
+    def _from_minimal(cls, ring: GroundRing, gens: Iterable[Monomial]) -> MonomialIdeal:
+        """The ideal generated by ``gens``, which the caller guarantees to be a
+        minimal generating set over ``ring``, as the lexsegment builders'
+        outputs are by construction: only put in canonical order, never
+        minimalized."""
+        I = cls.__new__(cls)
+        object.__setattr__(I, "ring", ring)
+        object.__setattr__(I, "gens", _canonical(gens))
+        object.__setattr__(I, "_cache", {})
+        return I
+
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("MonomialIdeal is immutable")
 
@@ -138,7 +217,7 @@ class MonomialIdeal:
 
     @classmethod
     def zero(cls, ring: GroundRing) -> MonomialIdeal:
-        return cls(ring)
+        return cls._from_minimal(ring, ())
 
     @property
     def is_zero(self) -> bool:
@@ -167,8 +246,12 @@ class MonomialIdeal:
     def contains(self, m: Monomial) -> bool:
         if m.num_vars != self.ring.num_vars:
             raise RingMismatch("monomial from a different ring")
-        me = m.exponents
-        return any(all(map(le, g.exponents, me)) for g in self.gens)
+        return _divisors(self.threshold_index(), m.exponents) != 0
+
+    def threshold_index(self) -> ThresholdIndex:
+        """The ``_threshold_index`` (values, masks) of the generators, built
+        on first use; bit i of a mask stands for gens[i]."""
+        return self.memo("index", lambda: _threshold_index([g.exponents for g in self.gens], self.ring.num_vars))
 
     def __add__(self, other: MonomialIdeal) -> MonomialIdeal:
         if self.ring != other.ring:
@@ -246,9 +329,10 @@ class MonomialIdeal:
     def is_stable(self) -> bool:
         """Closure under the exchanges x_p * u / x_max(u), p < max(u)."""
         return self.memo("stable", lambda: all(
-            self.contains(u.exchange(p, u.max_index))
+            self.contains(u.exchange(p, m))
             for u in self.gens
-            for p in range(1, u.max_index)
+            for m in (u.max_index,)
+            for p in range(1, m)
         ))
 
     def is_strongly_stable(self) -> bool:
@@ -327,7 +411,7 @@ def lexify(I: MonomialIdeal) -> MonomialIdeal:
     gens: list[Monomial] = []
     for t, new in enumerate(lex_layers(I.ring, map(I.hilbert, itertools.count(1))), start=1):
         if t > g and not new:
-            return MonomialIdeal(I.ring, gens)
+            return MonomialIdeal._from_minimal(I.ring, gens)
         gens.extend(new)
 
 
@@ -362,7 +446,7 @@ def sq_lexify(I: MonomialIdeal) -> MonomialIdeal:
     if I.is_zero:
         return I
     layers = sq_lex_layers(I.ring, squarefree_counts(I)[1:])
-    return MonomialIdeal(I.ring, [m for layer in layers for m in layer])
+    return MonomialIdeal._from_minimal(I.ring, [m for layer in layers for m in layer])
 
 
 def squarefree_counts(I: MonomialIdeal) -> tuple[int, ...]:

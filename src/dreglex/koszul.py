@@ -37,9 +37,11 @@ size.
 
 Within a component the blocks see only how the exponents of each variable
 compare, so each exponent is replaced by its rank among 0 and that
-variable's exponents, and degrees are read back from the ranks.  One index
-per component serves every block: masks[k][v] is the bitmask of the
-generators with g_k <= v.  The divisors of x^a are the AND over k of
+variable's exponents, and degrees are read back from the ranks.  The
+ideal's own index (``MonomialIdeal.threshold_index``, which its membership
+tests read too) serves every block: masks[k][v] is the bitmask of the
+generators whose x_k exponent has rank <= v, and values[k][v] is that
+exponent.  The divisors of x^a are the AND over k of
 masks[k][a_k], the divisors slack at a support position are the divisors in
 masks[k][a_k - 1], and one pass over the set bits of those per-position
 masks gives each divisor's slack mask.  The lcm lattice is closed under
@@ -53,7 +55,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import operator
 
@@ -174,19 +175,6 @@ def _strand_homology(s: int, faces: int) -> dict[int, int]:
     return out
 
 
-def _threshold_masks(gens: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-    """The ideal's index: masks[k][v] is the bitmask of the generators g (bit i
-    for gens[i]) with g_k <= v, for v from 0 up to the top exponent of x_k;
-    a larger v reads the top entry, which holds every generator."""
-    masks = []
-    for col in zip(*gens):
-        row = [0] * (max(col) + 1)
-        for i, e in enumerate(col):
-            row[e] |= 1 << i
-        masks.append(tuple(itertools.accumulate(row, operator.or_)))
-    return tuple(masks)
-
-
 def _divisor_masks(masks: tuple[tuple[int, ...], ...], a: tuple[int, ...]) -> tuple[int, list[int]]:
     """(divisors, slack): the bitmask of the generators dividing x^a, the AND
     of masks[k][a_k], and for each support position of a, in order, the
@@ -287,12 +275,10 @@ def koszul_betti(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> BettiDiagr
         raise DomainError("the unit ideal has no proper minimal resolution here")
     if I.is_zero:
         return BettiDiagram(I.ring.num_vars, {})
-    gens = tuple(g.exponents for g in I.gens)
     # exponent ranks keep mask rows and lattice codes short for any
     # exponent; values[k][r] is the exponent of x_k with rank r
-    values = [sorted({0, *col}) for col in zip(*gens)]
-    ranks = tuple(tuple(map(bisect.bisect_left, values, g)) for g in gens)
-    masks = _threshold_masks(ranks)
+    values, masks = I.threshold_index()
+    ranks = tuple(tuple(map(bisect.bisect_left, values, g.exponents)) for g in I.gens)
     lattices = [
         _lcm_lattice(tuple(g for i, g in enumerate(ranks) if part >> i & 1), cap) for part in _components(masks)
     ]
@@ -309,7 +295,7 @@ def koszul_betti(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> BettiDiagr
             if not any(a):
                 continue
             for i, v in _block_betti(masks, a, memo).items():
-                j = sum(map(list.__getitem__, values, a))
+                j = sum(map(operator.getitem, values, a))
                 if i == 0:
                     raise AssertionError(f"unexpected homology at homological index 0, degree {j}")
                 factor[(i, j)] = factor.get((i, j), 0) + v

@@ -66,9 +66,10 @@ class Monomial:
     __slots__ = ("exponents",)
 
     def __init__(self, exponents: tuple[int, ...]):
-        if any(e < 0 for e in exponents):
+        vector = tuple(exponents)
+        if vector and min(vector) < 0:
             raise DomainError(f"negative exponent in {exponents}")
-        object.__setattr__(self, "exponents", tuple(exponents))
+        object.__setattr__(self, "exponents", vector)
 
     def __setattr__(self, *args):  # pragma: no cover - immutability guard
         raise AttributeError("Monomial is immutable")
@@ -125,7 +126,12 @@ class Monomial:
 
     def exchange(self, p: int, q: int) -> Monomial:
         """The exchange move x_q -> x_p, i.e. self * x_p / x_q."""
-        return self.div_var(q).times_var(p)
+        e = list(self.exponents)
+        if e[q - 1] == 0:
+            raise DomainError(f"x{q} does not divide {self}")
+        e[q - 1] -= 1
+        e[p - 1] += 1
+        return Monomial(tuple(e))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Monomial) and self.exponents == other.exponents

@@ -14,16 +14,17 @@ Algebra, ch. 1; Eagon-Reiner, JPAA 130, 1998).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 from .betti import ahh_betti
-from .dlex import LSequence, dlinear_lex_from_l, regularity, single_degree
+from .dlex import LSequence, dlinear_layer, regularity, require_realizable, single_degree
 from .errors import DomainError, FormatError
 from .ideals import MonomialIdeal, sq_lex_layers, squarefree_counts
 from .koszul import DEFAULT_LATTICE_CAP
 from .macaulay import binom
-from .monomials import GroundRing, phi, phi_inv
+from .monomials import GroundRing, Monomial, lex_prefix_counts, phi, phi_inv
 
 # -- the squarefree operation (phi and phi_inv on monomials: ``monomials``) ---
 
@@ -115,14 +116,23 @@ def _l_star_from_counts(counts: tuple[int, ...], n: int, d: int) -> LStarSequenc
 def sq_dlinear_from_l_star(ls: LStarSequence, ring: GroundRing) -> MonomialIdeal:
     """The unique d-linear squarefree lexsegment ideal with the given counts,
     built by spreading the d-linear lexsegment ideal with the same counts."""
+    return MonomialIdeal._from_minimal(ring, _sq_dlinear_layer(ls, ring, itertools.repeat(0)))
+
+
+def _sq_dlinear_layer(ls: LStarSequence, ring: GroundRing, below: Iterable[int]) -> list[Monomial]:
+    """phi of ``dlinear_layer`` in the n - d + 1 variables the counts live in:
+    the d-linear squarefree lexsegment generators less, with largest inner
+    variable x_k, the first below[k - 1]; phi is injective, so the layer is
+    minimal."""
     d = ls.degree
     n = ring.num_vars
     if ls.num_slots != n - d + 1:
         raise DomainError(f"expected {n - d + 1} slots, got {ls.num_slots}")
     if ls.entries == (0,) * ls.num_slots:
-        return MonomialIdeal.zero(ring)
-    inner = dlinear_lex_from_l(LSequence(ls.entries, d), GroundRing(n - d + 1))
-    return MonomialIdeal(ring, (phi(g, n) for g in inner.gens))
+        return []
+    l, inner_ring = LSequence(ls.entries, d), GroundRing(n - d + 1)
+    require_realizable(l, inner_ring)
+    return [phi(g, n) for g in dlinear_layer(l, inner_ring, below)]
 
 
 def sq_lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_LATTICE_CAP) -> MonomialIdeal:
@@ -152,7 +162,12 @@ def _sq_lexd_from_counts(ring: GroundRing, counts: tuple[int, ...], d: int) -> M
     degree 0..n are ``counts``."""
     n = ring.num_vars
     low = [m for layer in sq_lex_layers(ring, counts[1:d]) for m in layer]
-    J = MonomialIdeal(ring, low + list(sq_dlinear_from_l_star(_l_star_from_counts(counts, n, d), ring).gens))
+    # a degree-d squarefree w is in the span of the degree-(d-1) slice, phi of
+    # the lex prefix P of size counts[d - 1] in n - d + 2 variables, iff
+    # w / x_max(w) is; for w = phi(x_k * b) that is phi(b), so iff b is among
+    # the members of P in x1..xk, a lex prefix there (``dlex_from_hilbert``)
+    below = lex_prefix_counts(GroundRing(n - d + 2), d - 1, counts[d - 1])
+    J = MonomialIdeal._from_minimal(ring, low + _sq_dlinear_layer(_l_star_from_counts(counts, n, d), ring, below))
     for t in range(n + 1):
         if J.count(t, squarefree=True) != counts[t]:
             raise AssertionError(f"constructed ideal misses the squarefree count at degree {t}")

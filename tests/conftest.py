@@ -7,12 +7,13 @@ from a fixed seed so failures reproduce.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from typing import Iterable
 
 import pytest
 
-from dreglex.errors import DomainError
+from dreglex.errors import DomainError, RingMismatch
 from dreglex.ideals import MonomialIdeal
 from dreglex.macaulay import binom
 from dreglex.monomials import GroundRing, Monomial, lex_rank
@@ -104,6 +105,38 @@ def is_dlinear_lex(mons: Iterable[Monomial]) -> bool:
     return is_strongly_stable(members) and all(
         is_lexsegment_set(Dk, max_var=k) for k, Dk in enumerate(dk_decompose(members), start=1)
     )
+
+
+def scan_minimalize(ring: GroundRing, gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
+    """The reference for ``minimalize``: a scan of the candidates sorted by
+    degree, lex-descending within a degree, against the kept generators of
+    lower degree, the only ones that can divide a candidate."""
+    unique = sorted(set(gens), key=lambda m: (m.degree, tuple(-e for e in m.exponents)))
+    kept: list[Monomial] = []
+    below: list[tuple[int, ...]] = []  # exponents of the kept generators of lower degree
+    for m in unique:
+        if m.num_vars != ring.num_vars:
+            raise RingMismatch(f"generator over {m.num_vars} variables in ring with {ring.num_vars}")
+        if kept and kept[-1].degree < m.degree:
+            below.extend(g.exponents for g in kept[len(below):])
+        me = m.exponents
+        if not any(all(map(operator.le, g, me)) for g in below):
+            kept.append(m)
+    return tuple(kept)
+
+
+def _threshold_masks(gens) -> tuple[tuple[int, ...], ...]:
+    """An uncompressed threshold index over raw exponents, to drive the
+    oracle's block code at any multidegree: masks[k][v] is the bitmask of the
+    generators g (bit i for gens[i]) with g_k <= v, for v from 0 up to the
+    top exponent of x_k."""
+    masks = []
+    for col in zip(*gens):
+        row = [0] * (max(col) + 1)
+        for i, e in enumerate(col):
+            row[e] |= 1 << i
+        masks.append(tuple(itertools.accumulate(row, operator.or_)))
+    return tuple(masks)
 
 
 def truncate_geq(I: MonomialIdeal, k: int) -> MonomialIdeal:
