@@ -75,7 +75,6 @@ from .monomials import (
     parse_monomial,
 )
 from .squarefree import (
-    LStarSequence,
     SimplicialComplex,
     alexander_dual,
     complex_from_ideal,

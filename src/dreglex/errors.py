@@ -14,7 +14,7 @@ class FormatError(DregLexError):
 
 
 class CapExceeded(DregLexError):
-    """The Koszul oracle's lcm lattice would exceed the configured cap.
+    """A component's lcm lattice in the Koszul oracle would exceed the cap.
 
     The question is left undecided; a wrong boolean is never returned.
     """

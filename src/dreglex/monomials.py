@@ -41,13 +41,6 @@ class GroundRing:
     def one(self) -> Monomial:
         return Monomial((0,) * self.num_vars)
 
-    def variable(self, i: int) -> Monomial:
-        if not 1 <= i <= self.num_vars:
-            raise DomainError(f"variable index {i} out of range 1..{self.num_vars}")
-        e = [0] * self.num_vars
-        e[i - 1] = 1
-        return Monomial(tuple(e))
-
     def squarefree(self, support: Iterable[int]) -> Monomial:
         """The squarefree monomial with the given 1-based support."""
         return Monomial(tuple(int(i in support) for i in range(1, self.num_vars + 1)))

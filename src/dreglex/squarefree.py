@@ -15,7 +15,6 @@ Algebra, ch. 1; Eagon-Reiner, JPAA 130, 1998).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable
 
 from .betti import ahh_betti
@@ -69,22 +68,10 @@ def phi_tilde(I: MonomialIdeal) -> MonomialIdeal:
 # -- l*-sequences and squarefree d-lexsegment ideals ---------------------------
 
 
-@dataclass(frozen=True)
-class LStarSequence:
-    """Counts of generators by largest variable, shifted so slot k counts
-    max(u) = k + d - 1; equals the plain count vector of the unspread ideal."""
-
-    entries: tuple[int, ...]
-    degree: int
-
-    @property
-    def num_slots(self) -> int:
-        return len(self.entries)
-
-
-def l_star(I: MonomialIdeal) -> LStarSequence:
+def l_star(I: MonomialIdeal) -> LSequence:
     """The shifted max-index counts of a squarefree strongly stable ideal
-    generated in one degree."""
+    generated in one degree: slot k of n - d + 1 counts the generators with
+    max(u) = k + d - 1, which are the plain counts of the unspread ideal."""
     d = single_degree(I)
     if not I.is_squarefree_strongly_stable():
         raise DomainError("l* is only meaningful for squarefree strongly stable ideals")
@@ -92,10 +79,10 @@ def l_star(I: MonomialIdeal) -> LStarSequence:
     counts = [0] * (n - d + 1)
     for g in I.gens:
         counts[g.max_index - d] += 1
-    return LStarSequence(tuple(counts), d)
+    return LSequence(tuple(counts), d)
 
 
-def _l_star_from_counts(counts: tuple[int, ...], n: int, d: int) -> LStarSequence:
+def _l_star_from_counts(counts: tuple[int, ...], n: int, d: int) -> LSequence:
     """Recover the shifted count vector from the squarefree member counts at
     degrees d..n, inverting
         count(d + m) = sum_k l*_k C(n - d + 1 - k, m).
@@ -110,29 +97,27 @@ def _l_star_from_counts(counts: tuple[int, ...], n: int, d: int) -> LStarSequenc
     )
     if any(x < 0 for x in entries):
         raise DomainError("squarefree counts do not match any squarefree strongly stable tail")
-    return LStarSequence(entries, d)
+    return LSequence(entries, d)
 
 
-def sq_dlinear_from_l_star(ls: LStarSequence, ring: GroundRing) -> MonomialIdeal:
+def sq_dlinear_from_l_star(ls: LSequence, ring: GroundRing) -> MonomialIdeal:
     """The unique d-linear squarefree lexsegment ideal with the given counts,
     built by spreading the d-linear lexsegment ideal with the same counts."""
     return MonomialIdeal._from_minimal(ring, _sq_dlinear_layer(ls, ring, itertools.repeat(0)))
 
 
-def _sq_dlinear_layer(ls: LStarSequence, ring: GroundRing, below: Iterable[int]) -> list[Monomial]:
+def _sq_dlinear_layer(ls: LSequence, ring: GroundRing, below: Iterable[int]) -> list[Monomial]:
     """phi of ``dlinear_layer`` in the n - d + 1 variables the counts live in:
     the d-linear squarefree lexsegment generators less, with largest inner
     variable x_k, the first below[k - 1]; phi is injective, so the layer is
     minimal."""
-    d = ls.degree
     n = ring.num_vars
-    if ls.num_slots != n - d + 1:
-        raise DomainError(f"expected {n - d + 1} slots, got {ls.num_slots}")
-    if ls.entries == (0,) * ls.num_slots:
+    slots = n - ls.degree + 1
+    if ls.entries == (0,) * slots:
         return []
-    l, inner_ring = LSequence(ls.entries, d), GroundRing(n - d + 1)
-    require_realizable(l, inner_ring)
-    return [phi(g, n) for g in dlinear_layer(l, inner_ring, below)]
+    inner_ring = GroundRing(slots)
+    require_realizable(ls, inner_ring)
+    return [phi(g, n) for g in dlinear_layer(ls, inner_ring, below)]
 
 
 def sq_lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_LATTICE_CAP) -> MonomialIdeal:

@@ -105,9 +105,18 @@ class TestHilb:
         assert spec.role == "quotient"
         assert spec.values == (1, 4, 8, 12)
 
-    def test_missing_degree_is_format_error(self, capsys, running):
-        code, _, err = run(capsys, "hilb", running)
-        assert code == 2
+    def test_missing_degree_is_usage_error(self, capsys, running):
+        with pytest.raises(SystemExit) as exc:
+            main(["hilb", running])
+        assert exc.value.code == 2
+        assert "one of the arguments -t/--degree --through is required" in capsys.readouterr().err
+
+    def test_degree_and_through_together_is_usage_error(self, capsys, running):
+        # -t used to win silently and print H(2) alone
+        with pytest.raises(SystemExit) as exc:
+            main(["hilb", "-t", "2", "--through", "3", running])
+        assert exc.value.code == 2
+        assert "argument --through: not allowed with argument -t/--degree" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["--through", "-3"], ["--through", "-3", "--quotient"], ["-t", "-3"]])
     def test_negative_degree_is_domain_error(self, capsys, running, argv):

@@ -3,6 +3,7 @@ box scan, with a per-face slack scan, with Hochster's formula and with the
 closed forms."""
 
 import itertools
+import math
 import operator
 import random
 
@@ -494,12 +495,19 @@ class TestComponents:
         assert koszul_betti(I).entries == {(0, 11): 2, (1, 22): 1}
         assert max(widths) == 11
 
-    def test_cap_counts_the_whole_lattice(self):
-        # two components of 2 points each: the lcm lattice has 4
+    def test_cap_bounds_each_component(self):
+        # two components of 2 points each: the product lattice has 4, but
+        # only the components' lattices are enumerated
         I = ideal(R4, "x1*x2", "x3*x4")
-        assert koszul_betti(I, cap=4).entries == {(0, 2): 2, (1, 4): 1}
-        with pytest.raises(CapExceeded, match="lcm lattice exceeds the cap of 3 multidegrees"):
-            koszul_betti(I, cap=3)
+        assert koszul_betti(I, cap=2).entries == {(0, 2): 2, (1, 4): 1}
+        with pytest.raises(CapExceeded, match="lcm lattice exceeds the cap of 1 multidegrees"):
+            koszul_betti(I, cap=1)
+
+    def test_twenty_coprime_quadrics(self):
+        # a complete intersection whose product lattice (2^20 points) exceeds
+        # the default cap: the Koszul complex on 20 quadrics
+        I = MonomialIdeal(GroundRing(40), [Monomial((0,) * (2 * k) + (1, 1) + (0,) * (38 - 2 * k)) for k in range(20)])
+        assert koszul_betti(I).entries == {(i - 1, 2 * i): math.comb(20, i) for i in range(1, 21)}
 
 
 class TestWorkPinned:
