@@ -41,21 +41,32 @@ variable's exponents, and degrees are read back from the ranks.  The
 ideal's own index (``MonomialIdeal.threshold_index``, which its membership
 tests read too) serves every block: masks[k][v] is the bitmask of the
 generators whose x_k exponent has rank <= v, and values[k][v] is that
-exponent.  The divisors of x^a are the AND over k of
-masks[k][a_k], the divisors slack at a support position are the divisors in
-masks[k][a_k - 1], and one pass over the set bits of those per-position
-masks gives each divisor's slack mask.  The lcm lattice is closed under
-bitwise OR of codes that write e_k as e_k low bits of a fixed-width field
-per variable, and each point is decoded once.  Many blocks share their
+exponent.  The lcm lattice is closed under bitwise OR of codes that write
+e_k as e_k low bits of a fixed-width field per variable, over the
+component's own columns only.  One pass per code reads each rank e_k from
+its field, ANDs masks[k][e_k] into the divisors (starting from the
+component's generators, as no other generator divides its points), keeps
+masks[k][e_k - 1], the generators slack there, for a support position, and
+sums the degree.  Splitting the divisors position by position into the
+groups that share one slack mask gives the masks whose subsets are the
+non-standard faces.
+
+A lattice point a is the lcm of its divisors, which closes two cases
+without faces.  With one divisor, a is that generator, every position is
+tight, and K^a = {empty face}: beta_1 = 1.  With two, g and h (minimal, so
+neither divides the other), a = lcm(g, h) leaves every position tight for g
+or for h, so their slack masks are disjoint and non-empty and K^a is two
+disjoint simplices: beta_2 = 1.  Many of the other blocks share their
 critical faces, so one oracle call ranks each (support size, faces) pair
-once and remembers its homology.
+once and remembers its homology; a face set of one size has no
+differential, and its homology is its face count.
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-import operator
+from collections.abc import Iterable, Iterator, Sequence
 
 from .betti import BettiDiagram
 from .errors import CapExceeded, DomainError
@@ -132,41 +143,36 @@ def _strand_homology(s: int, faces: int) -> dict[int, int]:
     `faces` over an s-element support, index |F|, with d(e_F) the signed
     faces F - pos that lie in `faces`.  Asserts kernel >= image per index."""
     _, _, by_size = _face_tables(s)
-    bases: list[list[int]] = []
+    i = ((faces & -faces).bit_length() - 1).bit_count()  # the lowest face's size
+    if faces and not faces & ~by_size[i]:  # one size: no differential to rank
+        return {i: faces.bit_count()}
+    bases: list[list[int]] = [[] for _ in by_size]
     index = {}
-    for size in by_size:
-        basis = []
-        bits = faces & size
-        while bits:
-            low = bits & -bits
-            mask = low.bit_length() - 1
-            index[mask] = len(basis)
-            basis.append(mask)
-            bits ^= low
-        bases.append(basis)
-
-    def differential(i: int) -> list[list[int]]:
-        # rows: basis in index i-1, cols: basis in index i
-        rows = [[0] * len(bases[i]) for _ in bases[i - 1]]
-        for col, mask in enumerate(bases[i]):
-            sign = 1
-            for pos in range(s):
-                if mask >> pos & 1:
-                    face = mask & ~(1 << pos)
-                    if faces >> face & 1:
-                        rows[index[face]][col] += sign
-                    sign = -sign
-        return rows
-
+    bits = faces
+    while bits:
+        low = bits & -bits
+        mask = low.bit_length() - 1
+        basis = bases[mask.bit_count()]
+        index[mask] = len(basis)
+        basis.append(mask)
+        bits ^= low
     ranks = [0] * (s + 2)
     for i in range(1, s + 1):
         if bases[i] and bases[i - 1]:
-            ranks[i] = exact_rank(differential(i))
+            # the differential: rows the basis in index i - 1, columns in index i
+            rows = [[0] * len(bases[i]) for _ in bases[i - 1]]
+            for col, mask in enumerate(bases[i]):
+                sign, bits = 1, mask
+                while bits:  # the positions of the face in increasing order
+                    low = bits & -bits
+                    if faces >> (mask ^ low) & 1:
+                        rows[index[mask ^ low]][col] += sign
+                    sign = -sign
+                    bits ^= low
+            ranks[i] = exact_rank(rows)
     out = {}
     for i in range(s + 1):
-        dim = len(bases[i])
-        kernel = dim - ranks[i]  # rank-nullity for the outgoing differential
-        homology = kernel - ranks[i + 1]
+        homology = len(bases[i]) - ranks[i] - ranks[i + 1]  # kernel (rank-nullity) minus image
         if homology < 0:
             raise AssertionError(f"negative homology at index {i} of faces {faces:#x}: image exceeds kernel")
         if homology:
@@ -174,67 +180,59 @@ def _strand_homology(s: int, faces: int) -> dict[int, int]:
     return out
 
 
-def _divisor_masks(masks: tuple[tuple[int, ...], ...], a: tuple[int, ...]) -> tuple[int, list[int]]:
-    """(divisors, slack): the bitmask of the generators dividing x^a, the AND
-    of masks[k][a_k], and for each support position of a, in order, the
-    divisors g with g_k < a_k there, i.e. divisors & masks[k][a_k - 1]."""
-    divisors = masks[0][-1]  # every generator
-    below = []
-    for e, row in zip(a, masks):
-        if e < len(row):
-            divisors &= row[e]
-            if e:
-                below.append(row[e - 1])
-        else:  # past the top exponent every generator has room
-            below.append(row[-1])
-    return divisors, [divisors & m for m in below]
-
-
-def _block_betti(
-    masks: tuple[tuple[int, ...], ...], a: tuple[int, ...], memo: dict[tuple[int, int], dict[int, int]]
-) -> dict[int, int]:
-    """Homology dimensions of the Koszul strand at one multidegree.
+def _block_betti(divisors: int, below: list[int], memo: dict[tuple[int, int], dict[int, int]]) -> dict[int, int]:
+    """Homology dimensions of the Koszul strand at one multidegree a, from the
+    bitmask `divisors` of the generators dividing x^a and, per support
+    position k of a in order, the generators with g_k < a_k (`below`).
 
     Returns {i: beta_{i,|a|}(S/I) contribution}, computed on the critical
     faces of the one-vertex matching with the fewest of them (the lowest
     position on ties); with an empty support the block keeps its faces.
     `memo` maps (s, faces) to homology already computed in this oracle call.
     """
-    divisors, slack = _divisor_masks(masks, a)
-    s = len(slack)
+    s = len(below)
     full, has, _ = _face_tables(s)
-    # bit pos of a divisor's slack mask is set iff it leaves room at supp[pos];
     # a face mask is non-standard iff it is a submask of some divisor's slack
-    # mask, so the non-standard faces are the down-closure of those masks'
-    # bits.  One pass over the set bits of each position's slack divisors
-    # builds them; every divisor, x^a itself with no slack position too,
-    # makes the empty face (bit 0) non-standard
-    by_divisor: dict[int, int] = {}
-    for pos, bits in enumerate(slack):
-        while bits:
-            low = bits & -bits
-            by_divisor[low] = by_divisor.get(low, 0) | 1 << pos
-            bits ^= low
-    ns = 1 if divisors else 0
-    for mask in by_divisor.values():
+    # mask (bit pos set iff it leaves room at that position), so the
+    # non-standard faces are the down-closure of those masks' bits.  Splitting
+    # the divisors position by position into the groups with one slack mask
+    # sets each mask's bit once; every divisor, x^a itself with no slack
+    # position too, makes the empty face (bit 0) non-standard
+    ns = 0
+    stack = [(divisors, 0, 0)] if divisors else []
+    while stack:
+        group, mask, start = stack.pop()
+        for pos in range(start, s):
+            slack = group & below[pos]
+            if slack:
+                if slack != group:  # the rest of the group is tight here
+                    stack.append((group ^ slack, mask, pos + 1))
+                    group = slack
+                mask |= 1 << pos
         ns |= 1 << mask
     ns = _down_closure(ns, has)
     std = full & ~ns
     faces = min(_critical_faces(std, ns, has), key=int.bit_count) if s else std
     if not faces:
         return {}
-    key = (s, faces)
-    if key not in memo:
-        memo[key] = _strand_homology(s, faces)
-    return memo[key]
+    if (s, faces) not in memo:
+        memo[s, faces] = _strand_homology(s, faces)
+    return memo[s, faces]
 
 
-def _lcm_lattice(gens: tuple[tuple[int, ...], ...], cap: int) -> set[tuple[int, ...]]:
-    """The lcms of all subsets of `gens`, the empty one (0) included.  Each
-    exponent e_k is coded as e_k low bits of a field of width top + 1, so the
-    lcm of two codes is their bitwise OR; each point is decoded once."""
+def _lattice_betti(divisors: int, below: list[int], memo: dict[tuple[int, int], dict[int, int]]) -> dict[int, int]:
+    """``_block_betti`` at a point a of the lcm lattice, with the closed forms
+    of the module docstring for one or two divisors; with none, a = 0 and the
+    empty face alone is standard.  Each leaves one class, in index 0, 1 or 2."""
+    count = divisors.bit_count()
+    return {count: 1} if count < 3 else _block_betti(divisors, below, memo)
+
+
+def _lcm_lattice(gens: Sequence[Sequence[int]], cap: int) -> tuple[int, set[int]]:
+    """(width, codes): the lcms of all subsets of `gens`, the empty one (0)
+    included, with each exponent e_k coded as e_k low bits of the k-th field
+    of `width` = top + 1 bits, so the lcm of two codes is their bitwise OR."""
     width = max(map(max, gens)) + 1
-    field = (1 << width) - 1
     shifts = range(0, len(gens[0]) * width, width)
     codes = {0}
     for g in gens:
@@ -242,7 +240,26 @@ def _lcm_lattice(gens: tuple[tuple[int, ...], ...], cap: int) -> set[tuple[int, 
         codes |= {c | code for c in codes}
         if len(codes) > cap:
             raise CapExceeded(f"lcm lattice exceeds the cap of {cap} multidegrees")
-    return {tuple([(c >> shift & field).bit_length() for shift in shifts]) for c in codes}
+    return width, codes
+
+
+def _lattice_points(codes: Iterable[int], width: int, columns: list, part: int) -> Iterator[tuple[int, list[int], int]]:
+    """For each code, (divisors, below) as ``_block_betti`` reads them and the
+    degree of the point.  `columns` holds (values[k], masks[k]) for the
+    code's fields in order, and `part` the generators that may divide it: one
+    pass reads each exponent rank e, ANDs masks[k][e] into the divisors and
+    keeps masks[k][e - 1] for a support position."""
+    field = (1 << width) - 1
+    for code in codes:
+        divisors, below, degree = part, [], 0
+        for vals, row in columns:
+            e = (code & field).bit_length()
+            code >>= width
+            divisors &= row[e]
+            if e:
+                below.append(row[e - 1])
+                degree += vals[e]
+        yield divisors, below, degree
 
 
 def _components(masks: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -277,22 +294,19 @@ def koszul_betti(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> BettiDiagr
     # exponent ranks keep mask rows and lattice codes short for any
     # exponent; values[k][r] is the exponent of x_k with rank r
     values, masks = I.threshold_index()
-    ranks = tuple(tuple(map(bisect.bisect_left, values, g.exponents)) for g in I.gens)
-    lattices = [
-        _lcm_lattice(tuple(g for i, g in enumerate(ranks) if part >> i & 1), cap) for part in _components(masks)
-    ]
-    # a point of one component's lattice is divisible by no generator of
-    # another, so the whole ideal's index serves every component
+    lattices = []
+    for part in _components(masks):
+        cols = [k for k, row in enumerate(masks) if part & ~row[0]]  # the variables of its generators
+        gens = [g.exponents for i, g in enumerate(I.gens) if part >> i & 1]
+        ranks = [[bisect.bisect_left(values[k], g[k]) for k in cols] for g in gens]
+        lattices.append((part, [(values[k], masks[k]) for k in cols], *_lcm_lattice(ranks, cap)))
     memo: dict[tuple[int, int], dict[int, int]] = {}
     factors = []  # S/I-indexed: (i, j) -> beta_{i,j}(S/I_k)
-    for lattice in lattices:
-        factor = {(0, 0): 1}
-        for a in lattice:
-            if not any(a):
-                continue
-            for i, v in _block_betti(masks, a, memo).items():
-                j = sum(map(operator.getitem, values, a))
-                if i == 0:
+    for part, columns, width, codes in lattices:
+        factor: dict[tuple[int, int], int] = {}  # a = 0 gives the constant term
+        for divisors, below, j in _lattice_points(codes, width, columns, part):
+            for i, v in _lattice_betti(divisors, below, memo).items():
+                if i == 0 and j:
                     raise AssertionError(f"unexpected homology at homological index 0, degree {j}")
                 factor[(i, j)] = factor.get((i, j), 0) + v
         factors.append(factor)

@@ -2,6 +2,7 @@
 box scan, with a per-face slack scan, with Hochster's formula and with the
 closed forms."""
 
+import collections
 import itertools
 import math
 import operator
@@ -17,9 +18,10 @@ from dreglex.koszul import (
     _block_betti,
     _components,
     _critical_faces,
-    _divisor_masks,
     _down_closure,
     _face_tables,
+    _lattice_betti,
+    _lattice_points,
     _lcm_lattice,
     _strand_homology,
     exact_rank,
@@ -298,15 +300,22 @@ class TestBoxScanCrossCheck:
 def slack_scan_block_betti(gens, a):
     """Reference for one Koszul block: every face mask of supp(a) is tested
     against every generator's slack mask in turn, with no bitsets."""
+    s = sum(1 for e in a if e)
+    slacks = slack_masks(gens, a)
+    return chain_homology(s, [mask for mask in range(1 << s) if all(mask & ~sl for sl in slacks)])
+
+
+def slack_masks(gens, a):
+    """The slack mask over supp(a) of each generator dividing x^a: bit pos
+    set iff g_k < a_k at the pos-th support position k."""
     supp = [k for k, e in enumerate(a) if e]
-    s = len(supp)
-    slacks = [
-        sum(1 << pos for pos, k in enumerate(supp) if g[k] < a[k])
-        for g in gens
-        if all(map(operator.le, g, a))
-    ]
-    std = [all(mask & ~sl for sl in slacks) for mask in range(1 << s)]
-    bases = [[mask for mask in range(1 << s) if std[mask] and bin(mask).count("1") == i] for i in range(s + 1)]
+    return [sum(1 << pos for pos, k in enumerate(supp) if g[k] < a[k]) for g in gens if all(map(operator.le, g, a))]
+
+
+def chain_homology(s, faces):
+    """Homology {i: dim} of the chain complex on the face masks `faces` over
+    an s-element support, every basis built and every differential ranked."""
+    bases = [[mask for mask in sorted(faces) if bin(mask).count("1") == i] for i in range(s + 1)]
     ranks = [0] * (s + 2)
     for i in range(1, s + 1):
         rows = {mask: r for r, mask in enumerate(bases[i - 1])}
@@ -327,6 +336,24 @@ def slack_scan_block_betti(gens, a):
         if homology:
             out[i] = homology
     return out
+
+
+def decode(width, codes, n):
+    """The exponent vectors of the lattice codes of ``_lcm_lattice``."""
+    field = (1 << width) - 1
+    return {tuple((c >> k * width & field).bit_length() for k in range(n)) for c in codes}
+
+
+def walk(gens, points, past=0):
+    """(a, (divisors, below, degree)) for each point a, read by
+    ``_lattice_points`` from the uncompressed index of `gens` (ranks are the
+    exponents), its rows extended by `past` copies of the top entry so that
+    points up to `past` above the top exponent can be coded."""
+    masks = [row + row[-1:] * past for row in _threshold_masks(gens)]
+    width = max(map(len, masks))
+    codes = [sum(((1 << e) - 1) << k * width for k, e in enumerate(a)) for a in points]
+    columns = [(range(len(row)), row) for row in masks]
+    return list(zip(points, _lattice_points(codes, width, columns, (1 << len(gens)) - 1)))
 
 
 class TestBlockBitsets:
@@ -364,12 +391,12 @@ class TestBlockBitsets:
             if I.is_unit:
                 continue
             gens = tuple(g.exponents for g in I.gens)
-            lattice = _lcm_lattice(gens, 10**4)
+            lattice = decode(*_lcm_lattice(gens, 10**4), n)
             top = [max(col) + 1 for col in zip(*gens)]
             off = [tuple(rng.randint(0, t) for t in top) for _ in range(10)]
-            masks, memo = _threshold_masks(gens), {}
-            for a in sorted(lattice) + off:
-                got = _block_betti(masks, a, memo)
+            memo = {}
+            for a, (divisors, below, _) in walk(gens, sorted(lattice) + off, past=1):
+                got = _block_betti(divisors, below, memo)
                 assert got == slack_scan_block_betti(gens, a), (I, a)
                 if a not in lattice:
                     assert got == {}, (I, a)
@@ -399,11 +426,67 @@ class TestBlockBitsets:
                 nonzero += bool(expected)
         assert nonzero >= 40, nonzero
 
+    def test_closed_forms_match_slack_scan(self):
+        """Every lattice point with at most two divisors, n <= 8: the answer
+        ``_lattice_betti`` gives without face bitsets against the slack scan."""
+        rng = random.Random(131)
+        seen = collections.Counter()
+        for _ in range(60):
+            n = rng.randint(1, 8)
+            I = random_monomial_ideal(rng, n, 3, count=rng.randint(1, 6))
+            if I.is_unit:
+                continue
+            gens = tuple(g.exponents for g in I.gens)
+            for a, (divisors, below, _) in walk(gens, sorted(decode(*_lcm_lattice(gens, 10**4), n))):
+                count = divisors.bit_count()
+                if count < 3:
+                    assert _lattice_betti(divisors, below, {}) == slack_scan_block_betti(gens, a) == {count: 1}, (I, a)
+                    seen[count] += 1
+        assert seen[1] >= 100 and seen[2] >= 100, seen
+
+    def test_three_divisors_with_disjoint_slack_masks(self):
+        """(x1*x2, x1*x3, x2*x3): the top point has three divisors whose slack
+        masks are pairwise disjoint, as two divisors' are, but K^a is three
+        points, not two, so beta_2 = 2 there."""
+        I = ideal(GroundRing(3), "x1*x2", "x1*x3", "x2*x3")
+        gens = tuple(g.exponents for g in I.gens)
+        [(a, (divisors, below, _))] = walk(gens, [(1, 1, 1)])
+        assert divisors.bit_count() == 3 and sorted(slack_masks(gens, a)) == [1, 2, 4]
+        assert _lattice_betti(divisors, below, {}) == slack_scan_block_betti(gens, a) == {2: 2}
+        assert koszul_betti(I).entries == {(0, 2): 3, (1, 3): 2}
+
+    def test_one_size_shortcut_matches_basis_and_rank(self):
+        rng = random.Random(137)
+        for s in range(1, 10):
+            _, _, by_size = _face_tables(s)
+            for _ in range(12):
+                i = rng.randint(0, s)
+                faces = by_size[i] & rng.getrandbits(1 << s)
+                expected = chain_homology(s, [m for m in range(1 << s) if faces >> m & 1])
+                assert _strand_homology(s, faces) == expected == ({i: faces.bit_count()} if faces else {})
+
+    def test_two_sizes_reach_exact_rank(self, monkeypatch):
+        """A face set of two sizes is ranked, so a set on which d o d != 0
+        (three sizes: the empty face, {x1} and {x1, x2}) still fails the
+        kernel >= image assertion."""
+        seen = []
+
+        def counting(rows):
+            seen.append(rows)
+            return exact_rank(rows)
+
+        monkeypatch.setattr(dreglex.koszul, "exact_rank", counting)
+        assert _strand_homology(2, 1 << 0b01 | 1 << 0b10 | 1 << 0b11) == {1: 1}
+        assert seen == [[[-1], [1]]]
+        with pytest.raises(AssertionError, match="negative homology at index 1"):
+            _strand_homology(2, 1 << 0b00 | 1 << 0b01 | 1 << 0b11)
+
 
 class TestThresholdIndex:
     def test_divisor_and_slack_masks_match_direct_scan(self):
-        """Points up to two past the top exponent of each variable, where the
-        index reads its top entry."""
+        """The walk's divisors, slack rows and degree at points up to two past
+        the top exponent of each variable, where the index reads its top
+        entry."""
         rng = random.Random(109)
         past_top = 0
         for _ in range(40):
@@ -418,15 +501,15 @@ class TestThresholdIndex:
                 assert masks[k] == tuple(
                     sum(1 << i for i, g in enumerate(gens) if g[k] <= v) for v in range(top[k] + 1)
                 )
-            for _ in range(20):
-                a = tuple(rng.randint(0, t + 2) for t in top)
+            points = [tuple(rng.randint(0, t + 2) for t in top) for _ in range(20)]
+            for a, (got, below, degree) in walk(gens, points, past=2):
                 divisors = sum(1 << i for i, g in enumerate(gens) if all(map(operator.le, g, a)))
                 slack = [
                     sum(1 << i for i, g in enumerate(gens) if divisors >> i & 1 and g[k] < a[k])
                     for k in range(n)
                     if a[k]
                 ]
-                assert _divisor_masks(masks, a) == (divisors, slack), (I, a)
+                assert (got, [got & row for row in below], degree) == (divisors, slack, sum(a)), (I, a)
                 past_top += any(e > t for e, t in zip(a, top))
         assert past_top >= 100
 
@@ -443,7 +526,7 @@ class TestThresholdIndex:
             expected = {(0,) * n}
             for g in gens:
                 expected |= {tuple(map(max, m, g)) for m in expected}
-            assert _lcm_lattice(gens, len(expected)) == expected, I
+            assert decode(*_lcm_lattice(gens, len(expected)), n) == expected, I
             with pytest.raises(CapExceeded):
                 _lcm_lattice(gens, len(expected) - 1)
 
@@ -452,12 +535,11 @@ def unsplit_betti(I):
     """The oracle without the component split: every block of the whole lcm
     lattice, each with a memo of its own."""
     gens = tuple(g.exponents for g in I.gens)
-    masks = _threshold_masks(gens)
     entries = {}
-    for a in _lcm_lattice(gens, 10**5):
-        if any(a):
-            for i, v in _block_betti(masks, a, {}).items():
-                entries[(i - 1, sum(a))] = entries.get((i - 1, sum(a)), 0) + v
+    for _, (divisors, below, j) in walk(gens, decode(*_lcm_lattice(gens, 10**5), len(gens[0]))):
+        for i, v in _block_betti(divisors, below, {}).items():
+            if i:
+                entries[(i - 1, j)] = entries.get((i - 1, j), 0) + v
     return entries
 
 
@@ -486,11 +568,11 @@ class TestComponents:
         not one of 22."""
         widths = []
 
-        def recording(masks, a, memo):
-            widths.append(sum(1 for e in a if e))
-            return _block_betti(masks, a, memo)
+        def recording(divisors, below, memo):
+            widths.append(len(below))
+            return _lattice_betti(divisors, below, memo)
 
-        monkeypatch.setattr(dreglex.koszul, "_block_betti", recording)
+        monkeypatch.setattr(dreglex.koszul, "_lattice_betti", recording)
         I = MonomialIdeal(GroundRing(22), [Monomial((1,) * 11 + (0,) * 11), Monomial((0,) * 11 + (1,) * 11)])
         assert koszul_betti(I).entries == {(0, 11): 2, (1, 22): 1}
         assert max(widths) == 11
@@ -513,7 +595,8 @@ class TestComponents:
 class TestWorkPinned:
     """The exact_rank calls and matrix cells of two oracle runs, recorded from
     the one-vertex matching that ranks only the critical faces, with each
-    distinct critical face set ranked once per oracle call.  The lcm lattice
+    distinct critical face set ranked once per oracle call and the points
+    with one or two divisors answered without ranks.  The lcm lattice
     sizes are pinned too, so the same blocks are visited; ranking every
     standard face took all_faces, and each pair must stay strictly below that.
     exact_rank is patched through its module global, the name the bench
@@ -522,9 +605,9 @@ class TestWorkPinned:
     @pytest.mark.parametrize(
         "n, gens, lattice, calls, cells, all_faces",
         [
-            (8, [f"x{i}*x{i % 8 + 1}" for i in range(1, 9)], 90, 47, 305, (236, 6848)),
+            (8, [f"x{i}*x{i % 8 + 1}" for i in range(1, 9)], 90, 45, 301, (236, 6848)),
             (5, ["x1^3", "x1^2*x2", "x1*x2*x3", "x2^2*x4", "x1*x3*x5", "x2*x3^2",
-                 "x3*x4*x5", "x1*x4^2", "x2*x5^2", "x4^3", "x3^2*x5", "x1*x2*x5"], 224, 12, 18, (202, 1102)),
+                 "x3*x4*x5", "x1*x4^2", "x2*x5^2", "x4^3", "x3^2*x5", "x1*x2*x5"], 224, 11, 16, (202, 1102)),
         ],
         ids=["8-cycle", "one-degree-n5-d3"],
     )
@@ -536,15 +619,16 @@ class TestWorkPinned:
             return exact_rank(rows)
 
         I = ideal(GroundRing(n), *gens)
-        assert len(_lcm_lattice(tuple(g.exponents for g in I.gens), 10**4)) == lattice
+        assert len(_lcm_lattice(tuple(g.exponents for g in I.gens), 10**4)[1]) == lattice
         monkeypatch.setattr(dreglex.koszul, "exact_rank", counting)
         koszul_betti(I)
         assert (len(seen), sum(seen)) == (calls, cells)
         assert calls < all_faces[0] and cells < all_faces[1]
 
     def test_memo_ranks_each_face_set_once(self, monkeypatch):
-        """On the 8-cycle, blocks with a memo of their own each compute
-        their homology; one oracle call computes fewer, each key once."""
+        """On the 8-cycle, lattice points with a memo of their own each
+        compute their homology; one oracle call computes fewer, each key
+        once."""
         seen = []
 
         def counting(s, faces):
@@ -554,10 +638,8 @@ class TestWorkPinned:
         I = ideal(GroundRing(8), *(f"x{i}*x{i % 8 + 1}" for i in range(1, 9)))
         gens = tuple(g.exponents for g in I.gens)
         monkeypatch.setattr(dreglex.koszul, "_strand_homology", counting)
-        masks = _threshold_masks(gens)
-        for a in _lcm_lattice(gens, 10**4):
-            if any(a):
-                _block_betti(masks, a, {})
+        for _, (divisors, below, _) in walk(gens, decode(*_lcm_lattice(gens, 10**4), 8)):
+            _lattice_betti(divisors, below, {})
         blocks = len(seen)
         seen.clear()
         koszul_betti(I)
