@@ -12,6 +12,7 @@ ideals with the same Hilbert function admitting the area.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 from typing import Sequence
 
 from .betti import BettiDiagram, ek_betti
@@ -23,12 +24,13 @@ from .monomials import GroundRing, Monomial, lex_prefix, lex_prefix_counts
 MAX_AREA_HEIGHT = 64
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class ExtremalArea:
     """A staircase region stored by its extremal corners (ascending i,
     descending j).  Membership: (i, j) lies in the area iff some corner
     dominates it coordinatewise."""
 
-    __slots__ = ("corners",)
+    corners: tuple[tuple[int, int], ...]
 
     def __init__(self, points):
         pts = set()
@@ -45,11 +47,6 @@ class ExtremalArea:
             if not any(q != p and q[0] >= p[0] and q[1] >= p[1] for q in pts)
         ]
         object.__setattr__(self, "corners", tuple(sorted(corners)))
-
-    def __setattr__(self, *args):  # pragma: no cover - immutability guard
-        raise AttributeError("ExtremalArea is immutable")
-
-    __delattr__ = __setattr__
 
     @property
     def standard_representation(self) -> tuple[tuple[int, int], ...]:
@@ -80,12 +77,6 @@ class ExtremalArea:
         """max { i : (i, j) in the area }, or -1 above the area."""
         tops = [ci for ci, cj in self.corners if cj >= j]
         return max(tops) if tops else -1
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, ExtremalArea) and self.corners == other.corners
-
-    def __hash__(self) -> int:
-        return hash(self.corners)
 
     def __repr__(self) -> str:
         return f"ExtremalArea({format_area(self)!r})"

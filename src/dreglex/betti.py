@@ -14,6 +14,8 @@ supported on x1..xq; they must agree entrywise and the tests enforce it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import DomainError
@@ -21,10 +23,13 @@ from .ideals import MonomialIdeal, series_coefficient
 from .macaulay import binom
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class BettiDiagram:
-    """Sparse map (homological index i, internal degree j) -> positive count."""
+    """Sparse map (homological index i, internal degree j) -> positive count,
+    read-only, sorted by (j - i, i)."""
 
-    __slots__ = ("num_vars", "entries")
+    num_vars: int
+    entries: Mapping[tuple[int, int], int]
 
     def __init__(self, num_vars: int, entries: Mapping[tuple[int, int], int]):
         clean = {}
@@ -36,12 +41,12 @@ class BettiDiagram:
             if v:
                 clean[(i, j)] = v
         object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "entries", dict(sorted(clean.items(), key=lambda kv: (kv[0][1] - kv[0][0], kv[0][0]))))
+        ordered = dict(sorted(clean.items(), key=lambda kv: (kv[0][1] - kv[0][0], kv[0][0])))
+        object.__setattr__(self, "entries", MappingProxyType(ordered))
 
-    def __setattr__(self, *args):  # pragma: no cover - immutability guard
-        raise AttributeError("BettiDiagram is immutable")
-
-    __delattr__ = __setattr__
+    def __reduce__(self) -> tuple:
+        # a mappingproxy does not pickle; rebuild from a plain dict instead
+        return BettiDiagram, (self.num_vars, dict(self.entries))
 
     @property
     def is_zero(self) -> bool:
@@ -107,18 +112,11 @@ class BettiDiagram:
             numerator[j] += v if i % 2 else -v
         return series_coefficient(self.num_vars, numerator, t)
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BettiDiagram)
-            and self.num_vars == other.num_vars
-            and self.entries == other.entries
-        )
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # the generated one would hash the unhashable mappingproxy
         return hash((self.num_vars, tuple(self.entries.items())))
 
     def __repr__(self) -> str:
-        return f"BettiDiagram(n={self.num_vars}, {self.entries})"
+        return f"BettiDiagram(n={self.num_vars}, {dict(self.entries)})"
 
     # -- text output ---------------------------------------------------------
 

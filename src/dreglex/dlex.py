@@ -27,6 +27,7 @@ class LSequence:
     degree: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(self.entries))
         if self.degree < 1:
             raise DomainError("the attached degree must be positive")
         if any(v < 0 for v in self.entries):
@@ -237,7 +238,7 @@ def betti_auto(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> BettiDiagram
     strongly stable ideals, otherwise the exact Koszul oracle."""
     if I.is_stable():
         return ek_betti(I)
-    if I.is_squarefree and I.is_squarefree_strongly_stable():
+    if I.is_squarefree_strongly_stable():
         return ahh_betti(I)
     return koszul_betti(I, cap=cap)
 

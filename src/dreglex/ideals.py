@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from math import comb
 from operator import attrgetter, le, or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
@@ -183,6 +184,7 @@ def _add_shifted(out: list[int], poly: list[int], shift: int) -> None:
         out[k + shift] += c
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class MonomialIdeal:
     """A monomial ideal kept in canonical form: a minimal generating set,
     sorted by degree and lex-descending within each degree.
@@ -191,7 +193,9 @@ class MonomialIdeal:
     rejected by the operations whose mathematics assumes a proper ideal.
     """
 
-    __slots__ = ("ring", "gens", "_cache")
+    ring: GroundRing
+    gens: tuple[Monomial, ...]
+    _cache: dict = field(compare=False)
 
     def __init__(self, ring: GroundRing, gens: Iterable[Monomial] = ()):
         object.__setattr__(self, "ring", ring)
@@ -209,11 +213,6 @@ class MonomialIdeal:
         object.__setattr__(I, "gens", _canonical(gens))
         object.__setattr__(I, "_cache", {})
         return I
-
-    def __setattr__(self, *args):  # pragma: no cover - immutability guard
-        raise AttributeError("MonomialIdeal is immutable")
-
-    __delattr__ = __setattr__
 
     @classmethod
     def zero(cls, ring: GroundRing) -> MonomialIdeal:
@@ -257,16 +256,6 @@ class MonomialIdeal:
         if self.ring != other.ring:
             raise RingMismatch("cannot add ideals over different rings")
         return MonomialIdeal(self.ring, self.gens + other.gens)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MonomialIdeal)
-            and self.ring == other.ring
-            and self.gens == other.gens
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ring, self.gens))
 
     def __repr__(self) -> str:
         body = ", ".join(format_monomial(g) for g in self.gens)

@@ -107,6 +107,7 @@ class HilbertSpec:
     role: str  # "ideal" | "quotient"
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(self.values))
         if self.role not in ("ideal", "quotient"):
             raise DomainError(f"role must be 'ideal' or 'quotient', got {self.role!r}")
         if self.num_vars < 1:

@@ -52,22 +52,18 @@ class GroundRing:
         return m
 
 
+@dataclass(frozen=True, slots=True)
 class Monomial:
     """A monomial as a dense exponent vector.  Immutable and hashable; the
     ambient ring is determined by the vector length."""
 
-    __slots__ = ("exponents",)
+    exponents: tuple[int, ...]
 
-    def __init__(self, exponents: tuple[int, ...]):
-        vector = tuple(exponents)
-        if vector and min(vector) < 0:
-            raise DomainError(f"negative exponent in {exponents}")
-        object.__setattr__(self, "exponents", vector)
-
-    def __setattr__(self, *args):  # pragma: no cover - immutability guard
-        raise AttributeError("Monomial is immutable")
-
-    __delattr__ = __setattr__
+    def __post_init__(self) -> None:
+        if type(self.exponents) is not tuple:
+            object.__setattr__(self, "exponents", tuple(self.exponents))
+        if self.exponents and min(self.exponents) < 0:
+            raise DomainError(f"negative exponent in {self.exponents}")
 
     @property
     def num_vars(self) -> int:
@@ -125,12 +121,6 @@ class Monomial:
         e[q - 1] -= 1
         e[p - 1] += 1
         return Monomial(tuple(e))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Monomial) and self.exponents == other.exponents
-
-    def __hash__(self) -> int:
-        return hash(self.exponents)
 
     def __str__(self) -> str:
         return format_monomial(self)

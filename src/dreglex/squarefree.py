@@ -15,6 +15,7 @@ Algebra, ch. 1; Eagon-Reiner, JPAA 130, 1998).
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable
 
 from .betti import ahh_betti
@@ -183,12 +184,14 @@ def sq_regularity_range(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> dic
 # -- simplicial complexes -------------------------------------------------------
 
 
+@dataclass(frozen=True, slots=True, init=False)
 class SimplicialComplex:
     """A simplicial complex on 1..n, stored by its facets.  Ghost vertices are
     allowed (a vertex need not be a face).  The void complex (not even the
     empty face) and the irrelevant complex (only the empty face) are distinct."""
 
-    __slots__ = ("vertex_count", "facets")
+    vertex_count: int
+    facets: tuple[frozenset[int], ...]
 
     def __init__(self, vertex_count: int, facets=()):
         if vertex_count < 1:
@@ -203,11 +206,6 @@ class SimplicialComplex:
             self, "facets", tuple(sorted(maximal, key=lambda f: (len(f), sorted(f))))
         )
 
-    def __setattr__(self, *args):  # pragma: no cover - immutability guard
-        raise AttributeError("SimplicialComplex is immutable")
-
-    __delattr__ = __setattr__
-
     @property
     def is_void(self) -> bool:
         return not self.facets
@@ -217,16 +215,6 @@ class SimplicialComplex:
         if self.is_void:
             raise DomainError("the void complex has no dimension")
         return max(len(f) for f in self.facets) - 1
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SimplicialComplex)
-            and self.vertex_count == other.vertex_count
-            and self.facets == other.facets
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.vertex_count, self.facets))
 
     def __repr__(self) -> str:
         body = ", ".join("{" + ",".join(map(str, sorted(f))) + "}" for f in self.facets)

@@ -1,5 +1,7 @@
 """Monomial core: lex order, strong stability, max-index decompositions."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import strategies as st
 
 from dreglex.areas import ExtremalArea
 from dreglex.betti import BettiDiagram
+from dreglex.dlex import LSequence
 from dreglex.errors import DomainError, FormatError
 from dreglex.ideals import MonomialIdeal
+from dreglex.macaulay import HilbertSpec
 from dreglex.monomials import (
     GroundRing,
     Monomial,
@@ -146,6 +150,75 @@ def test_value_types_reject_assignment_and_deletion(make, attr):
     with pytest.raises(AttributeError):
         delattr(obj, attr)
     assert getattr(obj, attr) == before
+
+
+def warmed_ideal():
+    """An ideal whose memo already holds a numerator, an index and a verdict."""
+    I = MonomialIdeal(R4, mons(R4, "x1^2", "x1*x2", "x2*x3^2"))
+    I.hilbert(5)
+    I.is_stable()
+    assert I._cache
+    return I
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: parse_monomial("x1^2*x3", R3),
+        lambda: MonomialIdeal(R3, [parse_monomial("x1*x2", R3)]),
+        warmed_ideal,
+        lambda: BettiDiagram(3, {(1, 3): 2, (0, 2): 3}),
+        lambda: ExtremalArea([(1, 3), (2, 2)]),
+        lambda: SimplicialComplex(3, [{1, 2}, {2, 3}]),
+        lambda: R4,
+        lambda: HilbertSpec(3, (0, 1, 3), "ideal"),
+        lambda: LSequence((1, 2), 2),
+    ],
+    ids=["Monomial", "MonomialIdeal", "MonomialIdeal-warmed", "BettiDiagram", "ExtremalArea",
+         "SimplicialComplex", "GroundRing", "HilbertSpec", "LSequence"],
+)
+@pytest.mark.parametrize(
+    "clone",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_value_types_round_trip(make, clone):
+    value = make()
+    twin = clone(value)
+    assert type(twin) is type(value)
+    assert twin == value and hash(twin) == hash(value)
+    assert repr(twin) == repr(value)
+    if isinstance(value, MonomialIdeal):
+        assert [twin.hilbert(t) for t in range(6)] == [value.hilbert(t) for t in range(6)]
+        assert twin.is_stable() == value.is_stable()
+
+
+def test_betti_entries_are_read_only():
+    D = BettiDiagram(3, {(1, 3): 2, (0, 2): 3})
+    before = hash(D)
+    with pytest.raises(TypeError):
+        D.entries[(0, 2)] = 7
+    with pytest.raises(TypeError):
+        del D.entries[(1, 3)]
+    assert D.entries == {(0, 2): 3, (1, 3): 2}
+    assert hash(D) == before
+    for twin in (pickle.loads(pickle.dumps(D)), copy.deepcopy(D)):
+        with pytest.raises(TypeError):
+            twin.entries[(0, 2)] = 7
+
+
+def test_sequence_fields_are_stored_as_tuples():
+    H = HilbertSpec(3, [0, 1, 3], "ideal")
+    L = LSequence([1, 2], 2)
+    m = Monomial([2, 0, 1])
+    assert (H.values, L.entries, m.exponents) == ((0, 1, 3), (1, 2), (2, 0, 1))
+    with pytest.raises(TypeError):
+        H.values[1] = 9
+    with pytest.raises(TypeError):
+        L.entries[0] = 9
+    assert hash(H) == hash(HilbertSpec(3, (0, 1, 3), "ideal"))
+    assert hash(L) == hash(LSequence((1, 2), 2))
+    assert hash(m) == hash(Monomial((2, 0, 1)))
 
 
 class TestEnumerationAndPrefix:
