@@ -4,9 +4,9 @@ construction over them.
 An extremal area is a finite staircase subset of {0..n-1} x {1, 2, ...} in
 cell coordinates (homological index i, internal degree minus i).  Semi-convex
 areas are the ones whose corners march diagonally away from a top corner; for
-those, a strongly stable ideal admitting the area can be re-lexified degree by
-degree into the unique ideal with maximal graded Betti numbers among all
-ideals with the same Hilbert function admitting the area.
+those, a strongly stable ideal admitting the area is re-lexified degree by
+degree, generator by generator, into the unique ideal with maximal graded
+Betti numbers among all ideals with the same Hilbert function and the area.
 """
 
 from __future__ import annotations
@@ -16,10 +16,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .betti import BettiDiagram, ek_betti
-from .dlex import LSequence, dlinear_lex_from_l
+from .dlex import LSequence, dlinear_layer
 from .errors import DomainError, FormatError
 from .ideals import MonomialIdeal
-from .monomials import GroundRing, Monomial, lex_prefix, lex_prefix_counts
+from .macaulay import up
+from .monomials import GroundRing, Monomial, lex_prefix_counts
 
 MAX_AREA_HEIGHT = 64
 
@@ -157,17 +158,17 @@ def admits(diagram: BettiDiagram, area: ExtremalArea) -> bool:
     return all((i, j - i) in area for (i, j) in diagram.entries)
 
 
-def _relex_counts(ring: GroundRing, d: int, counts: Sequence[int], r: int) -> tuple[Monomial, ...]:
+def _relex_counts(ring: GroundRing, d: int, counts: Sequence[int], r: int) -> LSequence:
     """The degree-preserving re-lexification of the maximal-Betti
     construction, on the max-index counts l_1, ..., l_n of a strongly stable
-    degree-d set V: the unique d-linear lexsegment set W with V's counts at
-    slots >= r whose members in the first r - 1 variables form a lex prefix,
-    lex-descending.  The lex prefix of size l_1 + ... + l_{r-1} in
-    x1..x_{r-1} gives the counts below slot r, and the d-linear lexsegment
-    set with those counts and l_r, ..., l_n is the answer."""
+    degree-d set V: the counts of the unique d-linear lexsegment set W with
+    V's counts at slots >= r whose members in the first r - 1 variables form
+    a lex prefix.  The lex prefix of size l_1 + ... + l_{r-1} in
+    x1..x_{r-1} gives the counts below slot r; ``dlinear_layer`` builds W
+    from them."""
     below = lex_prefix_counts(ring, d, sum(counts[:r - 1]), max_var=r - 1)
     low_counts = tuple(c - b for b, c in zip((0,) + below, below))
-    return dlinear_lex_from_l(LSequence(low_counts + tuple(counts[r - 1:]), d), ring).gens
+    return LSequence(low_counts + tuple(counts[r - 1:]), d)
 
 
 def lex_i_a(I: MonomialIdeal, area: ExtremalArea) -> MonomialIdeal:
@@ -178,9 +179,9 @@ def lex_i_a(I: MonomialIdeal, area: ExtremalArea) -> MonomialIdeal:
     offset j: below the top corner the degree-j members supported on the first
     p_j + 1 variables are replaced by a plain lex prefix; from the top corner
     up they are re-lexified while preserving the max-index counts the area
-    still constrains.  The sum of the resulting single-degree ideals is the
-    answer; it is independent of the top-corner choice and of which strongly
-    stable representative was supplied.
+    still constrains.  The answer, the sum of the single-degree ideals, is
+    independent of the top-corner choice and of the strongly stable
+    representative, and is built from each degree's new generators alone.
     """
     if I.is_zero or I.is_unit:
         raise DomainError("need a nonzero, nonunit ideal")
@@ -200,23 +201,22 @@ def lex_i_a(I: MonomialIdeal, area: ExtremalArea) -> MonomialIdeal:
 def _construct_with_top(I: MonomialIdeal, area: ExtremalArea, top: tuple[int, int]) -> MonomialIdeal:
     """The degreewise construction relative to one chosen top corner; the
     result is provably independent of the choice, which the tests verify.
-    Each degree needs only the counts of I's members by max index, read off
-    the numerators of the ideals I_q (``MonomialIdeal.count``)."""
-    n = I.ring.num_vars
-    j_r = top[1]
-    j_1 = area.max_j
-    parts: list[Monomial] = []
-    for j in range(1, j_1 + 1):
+    Degree j re-lexifies I's counts by max index with r = p_j + 2 (a lex
+    prefix) below the top corner and r = p_{j+1} + 3 from it on.  The slice
+    below meets x1..x_m, m = r_{j-1} - 1, in a lex prefix, the larger of its
+    degree's set there and the span of the slice under it, so each degree's
+    new generators come from lex ranks alone (``dlinear_layer``)."""
+    ring, n = I.ring, I.ring.num_vars
+    gens: list[Monomial] = []
+    prev, m = 0, n  # the slice below meets x1..x_m in a lex prefix of this size
+    for j in range(1, area.max_j + 1):
         q = area.p_profile(j) + 1
+        r = q + 1 if j < top[1] else area.p_profile(j + 1) + 3
+        if r > q + 1:
+            raise AssertionError("semi-convex profile must strictly decrease from the top corner on")
         cumulative = [I.count(j, k) for k in range(q + 1)]
-        if not cumulative[q]:
-            continue
-        if j < j_r:
-            parts.extend(lex_prefix(I.ring, j, cumulative[q], max_var=q))
-            continue
-        q_next = area.p_profile(j + 1) + 1
-        if q_next >= q:
-            raise AssertionError("semi-convex profile must step down by at most one above the top corner")
         counts = [cumulative[k] - cumulative[k - 1] for k in range(1, q + 1)] + [0] * (n - q)
-        parts.extend(_relex_counts(I.ring, j, counts, q_next + 2))
-    return MonomialIdeal(I.ring, parts)
+        below = lex_prefix_counts(ring, j - 1, prev, max_var=m)
+        gens += dlinear_layer(_relex_counts(ring, j, counts, r), ring, below)
+        prev, m = max(cumulative[r - 1], up(below[r - 2], r - 2)), r - 1
+    return MonomialIdeal._from_minimal(ring, gens)

@@ -31,9 +31,9 @@ measured 1.4 to 1.9 times slower there.
 Both lexifications are built generator by generator from lex ranks, with only
 the sizes of the spans computed; SqLex takes the lex prefixes of degree t in
 n - t + 1 variables and carries them onto the squarefree ones through phi.
-Their layers, and those of the d-lexsegment builders in ``dlex`` and
-``squarefree``, are minimal by construction (each degree's new generators lie
-outside the span of the slice below), so they enter the ideal through
+Their layers, the d-lexsegment layers of ``dlex`` and ``squarefree`` and
+those of Lex(I, A) in ``areas`` are minimal by construction (new generators
+lie outside the span of the slice below), so they enter the ideal through
 ``MonomialIdeal._from_minimal``, which only sorts them into canonical order.
 User input always goes through the minimalizing constructor.
 """

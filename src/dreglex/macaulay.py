@@ -63,24 +63,23 @@ def up(a: int, d: int) -> int:
     span one degree higher in d + 1 variables.  d = 0 (one variable) only
     admits sizes 0 and 1, where the span operator is the identity.
     """
-    if a == 0:
-        return 0
-    if d == 0:
-        if a > 1:
-            raise DomainError(f"no degree slice of size {a} in one variable")
-        return a
-    return sum(binom(t + 1, i) for t, i in macaulay_rep(a, d).terms)
+    return _shift(a, d, 0)
 
 
 def down(a: int, d: int) -> int:
     """a shifted along both indices: tops + 1, bottoms + 1; 0 maps to 0."""
+    return _shift(a, d, 1)
+
+
+def _shift(a: int, d: int, lift: int) -> int:
+    """sum C(t + 1, i + lift) over the terms C(t, i) of macaulay_rep(a, d)."""
     if a == 0:
         return 0
     if d == 0:
         if a > 1:
             raise DomainError(f"no degree slice of size {a} in one variable")
         return a
-    return sum(binom(t + 1, i + 1) for t, i in macaulay_rep(a, d).terms)
+    return sum(binom(t + 1, i + lift) for t, i in macaulay_rep(a, d).terms)
 
 
 def is_m_vector(h: Sequence[int]) -> bool:

@@ -15,7 +15,7 @@ from dreglex.areas import (
     parse_area,
 )
 from dreglex.betti import ahh_betti, ek_betti
-from dreglex.dlex import l_sequence
+from dreglex.dlex import dlinear_lex_from_l, l_sequence, lexd
 from dreglex.errors import DomainError, FormatError
 from dreglex.ideals import MonomialIdeal
 from dreglex.monomials import GroundRing, Monomial, lex_prefix, parse_monomial
@@ -42,9 +42,9 @@ def l_of(ring, V):
 
 
 def relex_above(ring, V, r):
-    """``_relex_counts`` on the counts of a nonempty strongly stable
-    single-degree set V."""
-    return _relex_counts(ring, V[0].degree, l_of(ring, V), r)
+    """The set ``_relex_counts`` gives on the counts of a nonempty strongly
+    stable single-degree set V, lex-descending."""
+    return dlinear_lex_from_l(_relex_counts(ring, V[0].degree, l_of(ring, V), r), ring).gens
 
 
 COUNTER_I = ideal(R5, "x1^2", "x1*x2", "x1*x3", "x1*x4", "x2^2", "x2*x3^3", "x3^4")
@@ -246,7 +246,7 @@ class TestRelexAbove:
             assert W == lex_prefix(GroundRing(n), d, len(V))
 
     def test_fixpoint_on_dlinear_lex(self):
-        from dreglex.dlex import dlinear_lex_from_l, LSequence
+        from dreglex.dlex import LSequence
 
         J = dlinear_lex_from_l(LSequence((1, 2, 1), 2), GroundRing(3))
         for r in range(2, 5):
@@ -337,20 +337,64 @@ class TestLexIA:
         assert lex_i_a(L, area) == L
 
     def test_matches_slice_construction(self):
-        # the count-level construction against the set-level one it replaced
+        # the rank-level construction against the set-level one it replaced,
+        # on Betti-support hulls and on hulls enlarged by 1-3 random corners
+        # up to height 8, where the slice below spans more of a degree
         rng = random.Random(241)
-        checked = 0
+        checked = enlarged = 0
         for _ in range(60):
             I = random_strongly_stable_ideal(rng, rng.randint(2, 5), 4)
             if I.is_zero:
                 continue
-            area = ExtremalArea([(i, j - i) for (i, j) in ek_betti(I).entries]).conv_hull()
-            if area.max_i > I.ring.num_vars - 1:
+            n = I.ring.num_vars
+            hull = ExtremalArea([(i, j - i) for (i, j) in ek_betti(I).entries]).conv_hull()
+            if hull.max_i > n - 1:
                 continue
-            for top in area.top_points():
-                assert _construct_with_top(I, area, top) == slice_construct(I, area, top), (I, area)
+            extra = [(rng.randint(0, n - 1), rng.randint(1, 8)) for _ in range(rng.randint(1, 3))]
+            grown = ExtremalArea(hull.corners + tuple(extra)).conv_hull()
+            for area in (hull, grown):
+                for top in area.top_points():
+                    assert _construct_with_top(I, area, top) == slice_construct(I, area, top), (I, area)
             checked += 1
-        assert checked >= 30
+            enlarged += grown != hull
+        assert checked >= 30 and enlarged >= 20
+
+    def test_rectangle_is_dlex(self):
+        """On the rectangle of homological indices 0..n-1 and offsets 1..d
+        the area bounds only the regularity, so Lex(I, A) is Lex^(d)(I)."""
+        rng = random.Random(263)
+        checked = 0
+        for _ in range(40):
+            I = random_strongly_stable_ideal(rng, rng.randint(2, 5), 4)
+            if I.is_zero:
+                continue
+            n, reg = I.ring.num_vars, I.max_gen_degree
+            for d in range(reg, reg + 4):
+                assert lex_i_a(I, ExtremalArea([(n - 1, d)])) == lexd(I, d), (I, d)
+                checked += 1
+        assert checked >= 100
+
+    def test_layers_never_minimalized(self, monkeypatch):
+        """Each degree's generators are minimal by construction: the
+        construction never calls ``minimalize``."""
+        rng = random.Random(269)
+        cases = [(COUNTER_I, AREA_B)]
+        while len(cases) < 20:
+            I = random_strongly_stable_ideal(rng, rng.randint(2, 5), 4)
+            if I.is_zero:
+                continue
+            hull = ExtremalArea([(i, j - i) for (i, j) in ek_betti(I).entries]).conv_hull()
+            if hull.max_i <= I.ring.num_vars - 1:
+                cases.append((I, hull))
+        expected = [slice_construct(I, area, min(area.top_points())) for I, area in cases]
+
+        def refuse(ring, gens):
+            raise AssertionError("minimalize called")
+
+        monkeypatch.setattr("dreglex.ideals.minimalize", refuse)
+        for (I, area), L in zip(cases, expected):
+            for top in area.top_points():
+                assert _construct_with_top(I, area, top) == L
 
     def test_hilbert_preserved_and_betti_dominance(self):
         rng = random.Random(233)
