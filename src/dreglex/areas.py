@@ -39,7 +39,9 @@ class ExtremalArea:
             if i < 0 or j < 1:
                 raise DomainError(f"area point {(i, j)} outside [0..n-1] x [1..]")
             if j > MAX_AREA_HEIGHT:
-                raise DomainError(f"area height {j} exceeds the storage bound {MAX_AREA_HEIGHT}")
+                raise DomainError(
+                    f"area height {j} exceeds {MAX_AREA_HEIGHT}, the bound on how far cells, conv_hull and lex_i_a walk"
+                )
             pts.add((i, j))
         if not pts:
             raise DomainError("an extremal area must be nonempty")

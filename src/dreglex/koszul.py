@@ -56,9 +56,26 @@ without faces.  With one divisor, a is that generator, every position is
 tight, and K^a = {empty face}: beta_1 = 1.  With two, g and h (minimal, so
 neither divides the other), a = lcm(g, h) leaves every position tight for g
 or for h, so their slack masks are disjoint and non-empty and K^a is two
-disjoint simplices: beta_2 = 1.  Many of the other blocks share their
-critical faces, so one oracle call ranks each (support size, faces) pair
-once and remembers its homology; a face set of one size has no
+disjoint simplices: beta_2 = 1.
+
+Two more kinds of block are settled from their slack masks before any face
+is built.  At a cone point one divisor is slack at every support position,
+so x^(a - 1_supp) lies in I, every face is non-standard and the block is
+zero.  Otherwise K^a is the union of the simplices on the distinct slack
+masks, and any intersection of them is a simplex or empty, so K^a has the
+homology of their nerve (Bjorner, Topological methods, Handbook of
+Combinatorics, 1995, Thm 10.6), with beta_i(S/I) at a equal to
+H~_{i-2}(K^a).  Two or more minimal divisors leave no mask empty, as only
+a itself is tight everywhere.  For three masks the nerve is a full triangle
+(zero) when all three meet, and otherwise the graph of the e pairs that
+meet: three points, an edge and a point, a path or a circle for
+e = 0, 1, 2, 3, giving {2: 2}, {2: 1}, zero and {3: 1}.
+
+The other blocks repeat themselves, so one oracle call remembers two
+things: the answer of each (support size, slack-mask family), looked up
+before the down-closure, the matching and the ranks, and the homology of
+each (support size, critical faces), so that two families with the same
+critical faces still rank once.  A face set of one size has no
 differential, and its homology is its face count.
 """
 
@@ -185,20 +202,28 @@ def _block_betti(divisors: int, below: list[int], memo: dict[tuple[int, int], di
     bitmask `divisors` of the generators dividing x^a and, per support
     position k of a in order, the generators with g_k < a_k (`below`).
 
-    Returns {i: beta_{i,|a|}(S/I) contribution}, computed on the critical
-    faces of the one-vertex matching with the fewest of them (the lowest
-    position on ties); with an empty support the block keeps its faces.
-    `memo` maps (s, faces) to homology already computed in this oracle call.
+    Returns {i: beta_{i,|a|}(S/I) contribution}.  A cone point and a family
+    of three slack masks are answered from the masks; any other block is
+    computed on the critical faces of the one-vertex matching with the
+    fewest of them (the lowest position on ties); with an empty support the
+    block keeps its faces.  `memo` maps (s, faces) to homology already
+    computed in this oracle call, and (s, ~family) to a family's answer:
+    face sets are non-negative and complemented families negative, so the
+    two kinds of key never meet.
     """
     s = len(below)
-    full, has, _ = _face_tables(s)
+    # a divisor slack at every position makes every face non-standard
+    cone = divisors
+    for row in below:
+        cone &= row
+    if cone:
+        return {}
     # a face mask is non-standard iff it is a submask of some divisor's slack
-    # mask (bit pos set iff it leaves room at that position), so the
-    # non-standard faces are the down-closure of those masks' bits.  Splitting
-    # the divisors position by position into the groups with one slack mask
-    # sets each mask's bit once; every divisor, x^a itself with no slack
-    # position too, makes the empty face (bit 0) non-standard
-    ns = 0
+    # mask (bit pos set iff it leaves room at that position).  Splitting the
+    # divisors position by position into the groups with one slack mask sets
+    # each mask's bit of the family once; every divisor, x^a itself with no
+    # slack position too, makes the empty face (bit 0) non-standard
+    family = 0
     stack = [(divisors, 0, 0)] if divisors else []
     while stack:
         group, mask, start = stack.pop()
@@ -209,8 +234,28 @@ def _block_betti(divisors: int, below: list[int], memo: dict[tuple[int, int], di
                     stack.append((group ^ slack, mask, pos + 1))
                     group = slack
                 mask |= 1 << pos
-        ns |= 1 << mask
-    ns = _down_closure(ns, has)
+        family |= 1 << mask
+    key = s, ~family
+    if key not in memo:
+        memo[key] = _family_betti(s, family, memo)
+    return memo[key]
+
+
+def _family_betti(s: int, family: int, memo: dict[tuple[int, int], dict[int, int]]) -> dict[int, int]:
+    """``_block_betti`` from the bitset `family` of the distinct slack masks
+    (bit m for mask m) over an s-element support, none of them full."""
+    if family.bit_count() == 3 and not family & 1:
+        # three non-empty masks: K^a has the homology of the nerve of their
+        # simplices (module docstring); an empty mask covers no point of K^a
+        a = family.bit_length() - 1
+        b = (family ^ 1 << a).bit_length() - 1
+        c = (family ^ 1 << a ^ 1 << b).bit_length() - 1
+        if a & b & c:
+            return {}
+        edges = bool(a & b) + bool(a & c) + bool(b & c)
+        return ({2: 2}, {2: 1}, {}, {3: 1})[edges]
+    full, has, _ = _face_tables(s)
+    ns = _down_closure(family, has)
     std = full & ~ns
     faces = min(_critical_faces(std, ns, has), key=int.bit_count) if s else std
     if not faces:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from dreglex.areas import (
+    MAX_AREA_HEIGHT,
     ExtremalArea,
     _construct_with_top,
     _relex_counts,
@@ -81,6 +82,13 @@ class TestRepresentation:
     def test_empty_rejected(self):
         with pytest.raises(DomainError):
             ExtremalArea([])
+
+    def test_height_bound(self):
+        """The height bound limits how far an area is walked: the bound
+        itself is accepted, one past it is rejected."""
+        assert ExtremalArea([(4, MAX_AREA_HEIGHT)]).max_j == MAX_AREA_HEIGHT == 64
+        with pytest.raises(DomainError, match="the bound on how far cells, conv_hull and lex_i_a walk"):
+            ExtremalArea([(4, MAX_AREA_HEIGHT + 1)])
 
     def test_parse_format_roundtrip(self):
         for text in ["(2,4);(4,2)", "(0,1)", "(1,5);(2,3);(4,1)"]:

@@ -317,6 +317,12 @@ class TestLexArea:
         code, _, err = run(capsys, "lexarea", "--area", "(2,4);(4,2)", section5)
         assert code == 1
 
+    def test_height_bound_exit_2(self, capsys, section5):
+        code, out, _ = run(capsys, "lexarea", "--area", "(4,64)", section5)
+        assert code == 0 and out.startswith("n=5\n")
+        code, _, err = run(capsys, "lexarea", "--area", "(4,65)", section5)
+        assert code == 2 and "area height 65 exceeds 64" in err
+
 
 class TestRoundTrips:
     def test_emitted_ideals_reparse_identically(self, capsys, tmp_path):

@@ -356,6 +356,20 @@ def walk(gens, points, past=0):
     return list(zip(points, _lattice_points(codes, width, columns, (1 << len(gens)) - 1)))
 
 
+@pytest.fixture
+def closures(monkeypatch):
+    """The face bitsets passed to ``_down_closure``, recorded through its
+    module global."""
+    calls = []
+
+    def counting(faces, has):
+        calls.append(faces)
+        return _down_closure(faces, has)
+
+    monkeypatch.setattr(dreglex.koszul, "_down_closure", counting)
+    return calls
+
+
 class TestBlockBitsets:
     def test_face_tables_match_definition(self):
         for s in range(11):
@@ -378,11 +392,14 @@ class TestBlockBitsets:
                 expected = sum(1 << m for m in range(1 << s) if any(not m & ~sl for sl in masks))
                 assert closed == expected, (s, masks)
 
-    def test_block_betti_matches_slack_scan(self):
+    def test_block_betti_matches_slack_scan(self, closures):
         """Blocks in 5-10 variables, at every lcm-lattice point and at random
         points of the box below lcm + 1; off the lattice a block is exact.
         The box-scan and Hochster cross-checks stop at 4 and 5 variables, so
-        only this test reaches support positions past 4."""
+        only this test reaches support positions past 4.  Cone points and
+        blocks with three non-empty slack masks are answered without a
+        down-closure, and both occur."""
+        fired = collections.Counter()
         rng = random.Random(103)
         widest = 0
         for _ in range(30):
@@ -396,12 +413,22 @@ class TestBlockBitsets:
             off = [tuple(rng.randint(0, t) for t in top) for _ in range(10)]
             memo = {}
             for a, (divisors, below, _) in walk(gens, sorted(lattice) + off, past=1):
+                before = len(closures)
                 got = _block_betti(divisors, below, memo)
                 assert got == slack_scan_block_betti(gens, a), (I, a)
                 if a not in lattice:
                     assert got == {}, (I, a)
                 widest = max(widest, sum(1 for e in a if e))
+                masks = set(slack_masks(gens, a))
+                if (1 << len(below)) - 1 in masks:
+                    fired["cone"] += 1
+                elif len(masks) == 3 and 0 not in masks:
+                    fired["three masks"] += 1
+                else:
+                    continue
+                assert len(closures) == before, (I, a)
         assert widest >= 9
+        assert fired["cone"] >= 1 and fired["three masks"] >= 1, fired
 
     def test_matching_keeps_homology_at_every_vertex(self):
         """Matching F with F + v for any one position v leaves the homology
@@ -454,6 +481,42 @@ class TestBlockBitsets:
         assert divisors.bit_count() == 3 and sorted(slack_masks(gens, a)) == [1, 2, 4]
         assert _lattice_betti(divisors, below, {}) == slack_scan_block_betti(gens, a) == {2: 2}
         assert koszul_betti(I).entries == {(0, 2): 3, (1, 3): 2}
+
+    @pytest.mark.parametrize(
+        "n, gens, masks, expected",
+        [
+            (3, ["x1", "x2", "x3"], [3, 5, 6], {3: 1}),
+            (3, ["x1*x2", "x1*x3", "x2*x3"], [1, 2, 4], {2: 2}),
+            (4, ["x3*x4", "x1*x4", "x1*x2"], [3, 6, 12], {}),
+            (4, ["x3*x4", "x1*x4", "x1*x2*x3"], [3, 6, 8], {2: 1}),
+        ],
+        ids=["circle", "three-points", "path", "edge-and-point"],
+    )
+    def test_three_mask_nerve(self, closures, n, gens, masks, expected):
+        """One case per nerve of three slack masks at the point (1, ..., 1):
+        three, two, one and no pairwise meeting masks.  The block is answered
+        without a down-closure and agrees with the slack scan and with the
+        oracle's diagram in that degree, where the lattice has no other point."""
+        I = ideal(GroundRing(n), *gens)
+        exps = tuple(g.exponents for g in I.gens)
+        a = (1,) * n
+        [(_, (divisors, below, _))] = walk(exps, [a])
+        assert sorted(slack_masks(exps, a)) == masks
+        assert _lattice_betti(divisors, below, {}) == slack_scan_block_betti(exps, a) == expected
+        assert not closures
+        top = {(i, j): v for (i, j), v in koszul_betti(I).entries.items() if j == n}
+        assert top == {(i - 1, n): v for i, v in expected.items()}
+
+    def test_empty_slack_mask_is_no_nerve_vertex(self):
+        """A divisor equal to x^a has the empty slack mask, which covers no
+        point of K^a.  With the non-minimal divisors x1*x2*x3, x1 and x2*x3,
+        K^a is one edge and one point, so beta_2 = 1, not the 2 that a nerve
+        on three vertices would read."""
+        gens = ((1, 1, 1), (1, 0, 0), (0, 1, 1))
+        a = (1, 1, 1)
+        [(_, (divisors, below, _))] = walk(gens, [a])
+        assert sorted(slack_masks(gens, a)) == [0, 1, 6]
+        assert _block_betti(divisors, below, {}) == slack_scan_block_betti(gens, a) == {2: 1}
 
     def test_one_size_shortcut_matches_basis_and_rank(self):
         rng = random.Random(137)
@@ -595,8 +658,10 @@ class TestComponents:
 class TestWorkPinned:
     """The exact_rank calls and matrix cells of two oracle runs, recorded from
     the one-vertex matching that ranks only the critical faces, with each
-    distinct critical face set ranked once per oracle call and the points
-    with one or two divisors answered without ranks.  The lcm lattice
+    distinct critical face set ranked once per oracle call; the points with
+    one or two divisors, the cone points and the blocks with three slack
+    masks are answered without ranks, and a repeated slack-mask family is
+    answered from the memo.  The lcm lattice
     sizes are pinned too, so the same blocks are visited; ranking every
     standard face took all_faces, and each pair must stay strictly below that.
     exact_rank is patched through its module global, the name the bench
@@ -605,9 +670,9 @@ class TestWorkPinned:
     @pytest.mark.parametrize(
         "n, gens, lattice, calls, cells, all_faces",
         [
-            (8, [f"x{i}*x{i % 8 + 1}" for i in range(1, 9)], 90, 45, 301, (236, 6848)),
+            (8, [f"x{i}*x{i % 8 + 1}" for i in range(1, 9)], 90, 41, 296, (236, 6848)),
             (5, ["x1^3", "x1^2*x2", "x1*x2*x3", "x2^2*x4", "x1*x3*x5", "x2*x3^2",
-                 "x3*x4*x5", "x1*x4^2", "x2*x5^2", "x4^3", "x3^2*x5", "x1*x2*x5"], 224, 11, 16, (202, 1102)),
+                 "x3*x4*x5", "x1*x4^2", "x2*x5^2", "x4^3", "x3^2*x5", "x1*x2*x5"], 224, 8, 12, (202, 1102)),
         ],
         ids=["8-cycle", "one-degree-n5-d3"],
     )
