@@ -13,7 +13,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import DomainError, FormatError
-from .monomials import count_monomials
+from .monomials import binomial_expansion, count_monomials
 
 
 def binom(a: int, b: int) -> int:
@@ -36,24 +36,12 @@ class MacaulayRep:
 
 
 def macaulay_rep(a: int, d: int) -> MacaulayRep:
-    """The d-th Macaulay representation of a, by the greedy construction."""
+    """The d-th Macaulay representation of a: its greedy binomial expansion."""
     if d < 1:
         raise DomainError(f"representation degree must be >= 1, got {d}")
     if a < 1:
         raise DomainError("a = 0 has no Macaulay representation; use the 0-conventions")
-    terms = []
-    rest = a
-    i = d
-    while rest > 0:
-        if i < 1:
-            raise DomainError(f"no Macaulay representation of {a} in degree {d}")
-        top = i
-        while comb(top + 1, i) <= rest:
-            top += 1
-        terms.append((top, i))
-        rest -= comb(top, i)
-        i -= 1
-    return MacaulayRep(d, tuple(terms))
+    return MacaulayRep(d, tuple(binomial_expansion(a, d)))
 
 
 def up(a: int, d: int) -> int:

@@ -12,9 +12,10 @@ Conventions, fixed once and used everywhere:
 
 Lexsegments are built by rank (the combinatorial number system), never by
 enumeration: ``lex_rank`` costs one binomial per variable; ``lex_prefix``
-with ``start`` unranks its first member in at most degree + 1 steps a variable
-and then costs one step per monomial it returns.  phi carries the degree-t
-lexsegments in n - t + 1 variables onto the squarefree ones in n, in order.
+with ``start`` unranks its first member from the greedy binomial expansion of
+``start``, O(log degree) binomials a variable, and then costs one step per
+monomial it returns.  phi carries the degree-t lexsegments in n - t + 1
+variables onto the squarefree ones in n, in order.
 """
 
 from __future__ import annotations
@@ -141,6 +142,25 @@ def count_monomials(num_vars: int, degree: int) -> int:
     return comb(num_vars + degree - 1, degree)
 
 
+def binomial_expansion(a: int, d: int) -> Iterator[tuple[int, int]]:
+    """The greedy expansion a = C(c_d, d) + C(c_(d-1), d - 1) + ... as terms
+    (c, i), i = d, d - 1, ..., until the remainder is 0: each c is the largest
+    with C(c, i) <= the remainder, found by doubling a step up from c = i and
+    halving it back (O(log c) binomials).  For a, d >= 1 this is Macaulay's
+    d-th representation of a."""
+    for i in range(d, 0, -1):
+        if not a:
+            break
+        c, step = i, 1
+        while comb(c + step, i) <= a:
+            c, step = c + step, 2 * step
+        while step := step // 2:  # here C(c, i) <= a < C(c + 2 * step, i)
+            if comb(c + step, i) <= a:
+                c += step
+        yield c, i
+        a -= comb(c, i)
+
+
 def iter_degree_desc(num_vars: int, degree: int) -> Iterator[tuple[int, ...]]:
     """All exponent vectors of the given degree, lex-descending."""
     if num_vars == 1:
@@ -179,9 +199,13 @@ def lex_prefix(
 ) -> tuple[Monomial, ...]:
     """The lexsegment of the given size in degree ``degree``, restricted to the
     first ``max_var`` variables (default: all), embedded in ``ring``, less its
-    first ``start`` members, lex-descending.  Unranks ``start``, then walks
-    the lex successor: the rightmost nonzero exponent before x_k drops by one
-    and the whole tail moves to the next variable."""
+    first ``start`` members, lex-descending.  Unranks ``start`` from its
+    greedy expansion in degree k - 1: the term C(c, m), m = k - i, leaves
+    j = c - m + 1 of the degree to x_(i+1)..x_k, since the C(c, m) members that
+    agree with it before x_i and keep more in x_i come first (hockey stick);
+    the variable after the last term takes the rest.  Then walks the lex
+    successor: the rightmost nonzero exponent before x_k drops by one and the
+    whole tail moves to the next variable."""
     k = ring.num_vars if max_var is None else max_var
     if not 0 <= k <= ring.num_vars:
         raise DomainError(f"max_var {k} out of range 0..{ring.num_vars}")
@@ -192,14 +216,12 @@ def lex_prefix(
     if k == 0 or size > count_monomials(k, degree):
         raise DomainError(f"no lexsegment of size {size} in degree {degree} over {k} variables")
     e = [0] * ring.num_vars
-    rest, rank = degree, start
-    for i in range(k - 1):
-        # the members with e_i = rest - j fill count_monomials(k - i - 1, j) positions
-        j = 0
-        while rank >= (block := count_monomials(k - i - 1, j)):
-            rank, j = rank - block, j + 1
+    rest = degree
+    terms = tuple(binomial_expansion(start, k - 1))
+    for i, (c, m) in enumerate(terms):
+        j = c - m + 1
         e[i], rest = rest - j, j
-    e[k - 1] = rest
+    e[len(terms)] = rest
     picked = [Monomial(tuple(e))]
     for _ in range(size - start - 1):
         i = max(i for i in range(k - 1) if e[i])

@@ -7,6 +7,7 @@ from a fixed seed so failures reproduce.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from typing import Iterable
@@ -326,3 +327,25 @@ def complex_by_face_scan(I: MonomialIdeal):
 @pytest.fixture
 def ring4() -> GroundRing:
     return GroundRing(4)
+
+
+COMB_BUDGET = 2000
+
+
+@pytest.fixture
+def comb_budget(monkeypatch):
+    """Count the binomials of the monomial and Macaulay layers and raise past
+    COMB_BUDGET calls, so a search that steps through a degree or a count one
+    at a time fails at once instead of running for hours."""
+    calls = 0
+
+    def counted(a: int, b: int) -> int:
+        nonlocal calls
+        calls += 1
+        if calls > COMB_BUDGET:
+            raise AssertionError(f"more than {COMB_BUDGET} binomials")
+        return math.comb(a, b)
+
+    for module in ("dreglex.monomials", "dreglex.macaulay"):
+        monkeypatch.setattr(f"{module}.comb", counted)
+    return lambda: calls

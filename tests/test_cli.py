@@ -233,6 +233,18 @@ class TestCharacterize:
         code, out, err = run(capsys, "characterize", "-d", d, str(path))
         assert (code, out, err) == (1, "", "error: d must be positive\n")
 
+    # Hilbert values near 10^12: a Macaulay representation that raises its
+    # top one step at a time takes 10^12 steps on either file
+    @pytest.mark.parametrize("spec, d, verdict", [
+        ("n=2 role=ideal\n0\n1000000000000\n2\n3\n4\n", "3", "inadmissible: (ii)"),
+        ("n=3 role=ideal\n0\n1000000000001\n2000000000003\n3000000000006\n", "1", "inadmissible: (i)(a)"),
+    ], ids=["n2-d3", "n3-d1"])
+    def test_large_values(self, capsys, tmp_path, comb_budget, spec, d, verdict):
+        path = tmp_path / "big.spec"
+        path.write_text(spec)
+        code, out, _ = run(capsys, "characterize", "-d", d, str(path))
+        assert code == 0 and out.splitlines()[0] == verdict
+
 
 class TestRanges:
     def test_reg_range(self, capsys, running):

@@ -21,7 +21,7 @@ from dreglex.macaulay import (
     parse_hilbert,
     up,
 )
-from dreglex.monomials import GroundRing, enumerate_degree, lex_prefix
+from dreglex.monomials import GroundRing, count_monomials, enumerate_degree, lex_prefix
 
 
 def brute_macaulay_rep(a, d):
@@ -75,6 +75,42 @@ class TestMacaulayRep:
                 assert tops == sorted(tops, reverse=True) and len(set(tops)) == len(tops)
                 assert lows == list(range(d, d - len(lows), -1))
                 assert all(t >= i for t, i in rep.terms)
+
+    def test_large_values(self):
+        # a up to 10^30 in degrees up to 12, tops up to 10^30 (degree 1); the
+        # representation is unique, so these conditions pin it
+        rng = random.Random(20)
+        cases = [(10**30, d) for d in range(1, 13)]
+        cases += [(rng.randint(1, min(2 ** rng.randint(1, 100), 10**30)), rng.randint(1, 12)) for _ in range(3000)]
+        for a, d in cases:
+            rep = macaulay_rep(a, d)
+            assert rep.value() == a
+            tops = [t for t, _ in rep.terms]
+            assert all(s > t for s, t in zip(tops, tops[1:]))
+            assert all(t >= i for t, i in rep.terms)
+            assert [i for _, i in rep.terms] == list(range(d, d - len(tops), -1))
+
+
+class TestLargeValuesWork:
+    """The greedy expansion behind macaulay_rep, up and lex_prefix takes
+    O(log) binomials a term; raising a top, or unranking a degree, one step
+    at a time takes 10^12 or 10^6 steps on these inputs."""
+
+    def test_macaulay_rep_of_a_trillion(self, comb_budget):
+        assert macaulay_rep(10**12, 1).terms == ((10**12, 1),)
+        assert comb_budget() < 100
+
+    def test_up_and_down_of_a_trillion(self, comb_budget):
+        assert up(10**12, 1) == 10**12 + 1
+        assert down(10**12, 1) == comb(10**12 + 1, 2)
+        assert comb_budget() < 200
+
+    def test_lex_prefix_in_degree_a_million(self, comb_budget):
+        ring, degree = GroundRing(6), 10**6
+        for r in (count_monomials(6, degree) // 3, count_monomials(6, degree) - 1, 12345):
+            (m,) = lex_prefix(ring, degree, r + 1, start=r)
+            assert m.degree == degree
+        assert comb_budget() < 1000
 
 
 class TestShiftOperators:

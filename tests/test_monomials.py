@@ -477,3 +477,20 @@ class TestLexRanks:
                 for j in range(1, n + 1):
                     assert is_lexsegment_set(members, max_var=j) == (members == prefixes[j][: len(members)])
                 assert is_lexsegment_set(members) == is_lexsegment_set(members, max_var=n)
+
+    def test_unrank_in_high_degree(self):
+        # degrees 10^2..10^6 in up to 7 variables, every max_var, random
+        # ranks and the two ends: three members from rank r sit at r, r + 1
+        # and r + 2
+        rng = random.Random(6)
+        for n in range(1, 8):
+            ring = GroundRing(n)
+            for t in (100, 1000, 12345, 10**5, 10**6):
+                for k in range(1, n + 1):
+                    total = count_monomials(k, t)
+                    if total < 3:
+                        continue
+                    for r in (0, total - 3, rng.randrange(total - 2), rng.randrange(min(total - 2, 10**6))):
+                        segment = lex_prefix(ring, t, r + 3, max_var=k, start=r)
+                        assert all(m.degree == t and m.max_index <= k for m in segment)
+                        assert [lex_rank(m, k) for m in segment] == [r, r + 1, r + 2]
