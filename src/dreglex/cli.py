@@ -217,10 +217,10 @@ VERBS = (
      lambda a: _ideal_text(lexify(_load_ideal(a)), a)),
     ("sqlex", {"help": "the squarefree lexsegment ideal with the same Hilbert function"}, [JSON, *IDEAL],
      lambda a: _ideal_text(sq_lexify(_load_ideal(a)), a)),
-    ("dlex", {"help": "the d-lexsegment ideal with the same Hilbert function"}, [CAP, JSON, *IDEAL, D],
-     lambda a: _ideal_text(lexd(_load_ideal(a), a.d, a.cap), a)),
-    ("sqdlex", {"help": "the squarefree d-lexsegment ideal with the same Hilbert function"}, [CAP, JSON, *IDEAL, D],
-     lambda a: _ideal_text(sq_lexd(_load_ideal(a), a.d, a.cap), a)),
+    ("dlex", {"help": "the d-lexsegment ideal with the same Hilbert function"}, [JSON, *IDEAL, D],
+     lambda a: _ideal_text(lexd(_load_ideal(a), a.d), a)),
+    ("sqdlex", {"help": "the squarefree d-lexsegment ideal with the same Hilbert function"}, [JSON, *IDEAL, D],
+     lambda a: _ideal_text(sq_lexd(_load_ideal(a), a.d), a)),
     ("phi", {"help": "spread a degree-d strongly stable ideal into n+d-1 variables"}, [JSON, *IDEAL],
      lambda a: _ideal_text(phi_ideal(_load_ideal(a)), a)),
     ("phi-inv", {"help": "unspread a degree-d squarefree strongly stable ideal"}, [JSON, *IDEAL],

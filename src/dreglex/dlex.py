@@ -243,20 +243,23 @@ def betti_auto(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> BettiDiagram
     return koszul_betti(I, cap=cap)
 
 
-def lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_LATTICE_CAP) -> MonomialIdeal:
-    """The unique d-lexsegment ideal with the Hilbert function of I; defined
-    exactly when reg(I) <= d."""
+def lexd(I: MonomialIdeal, d: int) -> MonomialIdeal:
+    """The unique d-lexsegment ideal with the Hilbert function H of I, defined
+    exactly when some ideal with Hilbert function H has regularity <= d; a
+    property of H, so reg(I) itself is never computed.  The candidate is
+    built from H through degree d + n - 1 (``dlex_from_hilbert``), is stable
+    and generated in degrees <= d, so it has regularity <= d; it is the
+    answer iff its Hilbert series, its numerator, is I's."""
     if I.is_zero or I.is_unit:
         raise DomainError("need a nonzero, nonunit ideal")
     if d < 1:
         raise DomainError("d must be positive")
-    r = regularity(I, cap)
-    if r > d:
-        raise DomainError(f"reg(I) = {r} exceeds d = {d}")
     n = I.ring.num_vars
     values = tuple(I.hilbert(t) for t in range(d + n))
-    H = HilbertSpec(n, values, "ideal")
-    return dlex_from_hilbert(H, d)
+    J = dlex_from_hilbert(HilbertSpec(n, values, "ideal"), d)
+    if J.numerator() != I.numerator():
+        raise DomainError(f"H is not the Hilbert function of a {d}-regular ideal: the only candidate leaves it past degree {d + n - 1}")
+    return J
 
 
 def regularity_range(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> dict[int, MonomialIdeal]:

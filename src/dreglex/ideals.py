@@ -147,7 +147,7 @@ def _numerator(gens: list[tuple[int, ...]]) -> list[int]:
     The recursion stops at pairwise coprime generators, where
     N = prod (1 - z^deg g).  The colon side is followed in a loop, so the
     call depth is at most the number of variables: the generators of each
-    I + (p) call avoid x_i.
+    I + (p) call avoid x_i.  Trailing zero coefficients are dropped.
     """
     out: list[int] = []
     shift = 0
@@ -166,6 +166,8 @@ def _numerator(gens: list[tuple[int, ...]]) -> list[int]:
     for g in gens:
         base = _times_one_minus(base, sum(g))
     _add_shifted(out, base, shift)
+    while out and not out[-1]:
+        out.pop()
     return out
 
 
@@ -293,7 +295,9 @@ class MonomialIdeal:
 
     def numerator(self, num_vars: int | None = None, squarefree: bool = False) -> tuple[int, ...]:
         """Coefficients of N with Hilbert series N(z) / (1 - z)^q of
-        k[x1..xq]/I_q, lowest degree first; q = num_vars (default n)."""
+        k[x1..xq]/I_q, lowest degree first and never ending in 0, so ideals
+        over one ring have equal Hilbert functions iff their numerators are
+        equal; q = num_vars (default n)."""
         q = self.ring.num_vars if num_vars is None else num_vars
         return self.memo(("numerator", q, squarefree), lambda: tuple(_numerator([
             e[:q] for e in (g.exponents for g in self.gens)

@@ -97,7 +97,7 @@ def _l_star_from_counts(counts: tuple[int, ...], n: int, d: int) -> LSequence:
         for s in reversed(range(slots))
     )
     if any(x < 0 for x in entries):
-        raise DomainError("squarefree counts do not match any squarefree strongly stable tail")
+        raise DomainError(f"squarefree counts do not match any degree-{d} squarefree strongly stable tail")
     return LSequence(entries, d)
 
 
@@ -121,18 +121,19 @@ def _sq_dlinear_layer(ls: LSequence, ring: GroundRing, below: Iterable[int]) -> 
     return [phi(g, n) for g in dlinear_layer(ls, inner_ring, below)]
 
 
-def sq_lexd(I: MonomialIdeal, d: int, cap: int = DEFAULT_LATTICE_CAP) -> MonomialIdeal:
+def sq_lexd(I: MonomialIdeal, d: int) -> MonomialIdeal:
     """The unique squarefree d-lexsegment ideal with the Hilbert function of a
-    squarefree ideal I of regularity <= d: squarefree lex prefixes below
-    degree d plus the d-linear squarefree lexsegment part with the counts
-    recovered from I's squarefree member counts."""
+    squarefree ideal I, defined exactly when some squarefree ideal with I's
+    Hilbert function has regularity <= d (squarefree algebraic shifting keeps
+    the Hilbert function and the regularity: Aramova-Herzog-Hibi, J. Algebraic
+    Combin. 12, 2000): squarefree lex prefixes below degree d plus the
+    d-linear squarefree lexsegment part with the counts recovered from I's
+    squarefree member counts, which in degrees 0..n are the whole Hilbert
+    function.  reg(I) itself is never computed."""
     _require_proper_squarefree(I)
     n = I.ring.num_vars
     if not 1 <= d <= n:
         raise DomainError(f"d must lie in 1..{n}")
-    r = regularity(I, cap)
-    if r > d:
-        raise DomainError(f"reg(I) = {r} exceeds d = {d}")
     return _sq_lexd_from_counts(I.ring, squarefree_counts(I), d)
 
 
@@ -145,7 +146,9 @@ def _require_proper_squarefree(I: MonomialIdeal) -> None:
 
 def _sq_lexd_from_counts(ring: GroundRing, counts: tuple[int, ...], d: int) -> MonomialIdeal:
     """The squarefree d-lexsegment ideal whose squarefree member counts per
-    degree 0..n are ``counts``."""
+    degree 0..n are ``counts``.  DomainError, from the construction or from
+    the comparison of every count at the end, exactly when no squarefree
+    ideal of regularity <= d has these counts."""
     n = ring.num_vars
     low = [m for layer in sq_lex_layers(ring, counts[1:d]) for m in layer]
     # a degree-d squarefree w is in the span of the degree-(d-1) slice, phi of
@@ -156,7 +159,7 @@ def _sq_lexd_from_counts(ring: GroundRing, counts: tuple[int, ...], d: int) -> M
     J = MonomialIdeal._from_minimal(ring, low + _sq_dlinear_layer(_l_star_from_counts(counts, n, d), ring, below))
     for t in range(n + 1):
         if J.count(t, squarefree=True) != counts[t]:
-            raise AssertionError(f"constructed ideal misses the squarefree count at degree {t}")
+            raise DomainError(f"the squarefree counts are not those of a {d}-regular ideal: the only candidate misses degree {t}")
     return J
 
 

@@ -136,6 +136,14 @@ class TestLexVerbs:
         assert L.max_gen_degree == 6
         assert parse_ideal(out) == L
 
+    def test_dlex_on_lexification_of_running_example(self, capsys, running, tmp_path):
+        # Lex(I) has regularity 6, but its Hilbert function is the running
+        # example's, which has regularity 3, so Lex^(3) exists
+        _, lex, _ = run(capsys, "lex", running)
+        path = tmp_path / "lex.ideal"
+        path.write_text(lex)
+        assert run(capsys, "dlex", "-d", "3", str(path)) == (0, "n=4\nx1^2\nx1*x2\nx2^3\n", "")
+
     def test_reg_too_small_is_domain_error(self, capsys, running):
         code, _, err = run(capsys, "dlex", "-d", "2", running)
         assert code == 1
@@ -423,11 +431,14 @@ class TestComplexVerbs:
 
 class TestCapFlag:
     """--cap is accepted exactly by the verbs that read it: it bounds the
-    Koszul oracle's lcm lattice, and nothing else enumerates under a cap."""
+    Koszul oracle's lcm lattice, and nothing else enumerates under a cap.
+    dlex and sqdlex decide from the Hilbert function and never reach the
+    oracle."""
 
     @pytest.mark.parametrize("argv", [
         ["hilb", "-t", "3"], ["lex"], ["sqlex"], ["phi"], ["phi-inv"], ["phi-tilde"], ["lseq"],
         ["characterize", "-d", "3"], ["lexarea", "--area", "(2,4)"],
+        ["dlex", "-d", "3"], ["sqdlex", "-d", "3"],
     ])
     def test_verbs_without_enumeration_reject_cap(self, capsys, running, argv):
         with pytest.raises(SystemExit) as exc:
@@ -436,8 +447,7 @@ class TestCapFlag:
         assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["betti"], ["dlex", "-d", "3"], ["sqdlex", "-d", "3"], ["reg-range"], ["sq-reg-range"],
-        ["complex", "cm"],
+        ["betti"], ["reg-range"], ["sq-reg-range"], ["complex", "cm"],
     ])
     def test_reading_verbs_accept_cap(self, argv):
         assert dreglex.cli.build_parser().parse_args(argv + ["in.txt", "--cap", "7"]).cap == 7

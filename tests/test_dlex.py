@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from dreglex import dlex
+from dreglex import dlex, koszul
 from dreglex.betti import ek_betti
 from dreglex.dlex import (
     LSequence,
@@ -340,6 +340,77 @@ class TestLexD:
         with pytest.raises(DomainError):
             lexd(RUNNING, 2)
 
+    @pytest.mark.parametrize("d", [3, 4, 5, 6])
+    def test_domain_is_the_hilbert_function(self, d):
+        # Lex(RUNNING) has regularity 6 but RUNNING's Hilbert function, which
+        # RUNNING realizes with regularity 3
+        assert lexd(lexify(RUNNING), d) == lexd(RUNNING, d)
+
+    def test_cut_hilbert_function_is_not_enough(self):
+        # a lex ideal of regularity 5 whose H through degree d + n - 1 = 4
+        # passes the characterization for d = 3; only the whole Hilbert
+        # series, compared through the numerators, refuses it
+        I = ideal(GroundRing(2), "x1^3", "x1^2*x2^3")
+        assert I.is_lexsegment() and ek_betti(I).regularity() == 5
+        assert characterize(hspec_of(I, 3), 3).admissible
+        with pytest.raises(DomainError, match="3-regular"):
+            lexd(I, 3)
+        assert [d for d in range(1, 7) if characterize(hspec_of(I, max(d, 5)), d).admissible] == [5, 6]
+        assert lexd(I, 5) == I
+
+    def test_answers_iff_characterize_admits_the_whole_function(self):
+        """From the top degree b of Lex(I) on, H and the Hilbert function of
+        any candidate generated in degrees <= d are polynomials of degree
+        < n, so H through max(d, b) + n - 1 is all of it: characterize on
+        that much of H is the reference for lexd's domain, on I and on
+        Lex(I) alike."""
+        rng = random.Random(419)
+        answered = refused = widened = 0
+        for _ in range(150):
+            n = rng.randint(2, 4)
+            I = random_monomial_ideal(rng, n, 4, count=rng.randint(2, 4))
+            if I.is_zero or I.is_unit:
+                continue
+            L = lexify(I)
+            b = L.max_gen_degree
+            for J, reg in ((I, regularity(I)), (L, b)):
+                for d in range(1, b + 2):
+                    H = hspec_of(I, max(d, b))
+                    verdict = characterize(H, d)
+                    if not verdict.admissible:
+                        with pytest.raises(DomainError):
+                            lexd(J, d)
+                        refused += 1
+                        continue
+                    K = lexd(J, d)
+                    assert K == dlex_from_hilbert(H, d), (J, d)
+                    assert K.numerator() == I.numerator() and ek_betti(K).regularity() <= d
+                    answered += 1
+                    widened += d < reg
+        assert answered >= 600 and refused >= 300 and widened >= 100
+
+    def test_never_reaches_a_betti_backend(self, monkeypatch):
+        """reg(I) is never computed: with the Betti backends failing, lexd
+        still answers and refuses on non-stable inputs."""
+        monkeypatch.setattr(dlex, "betti_auto", lambda *a: pytest.fail("betti_auto called"))
+        monkeypatch.setattr(koszul, "koszul_betti", lambda *a, **k: pytest.fail("koszul_betti called"))
+        assert not RUNNING.is_stable()
+        assert lexd(RUNNING, 3) == ideal(R4, "x1^2", "x1*x2", "x2^3")
+        with pytest.raises(DomainError):
+            lexd(RUNNING, 2)
+        rng = random.Random(421)
+        answered = 0
+        for _ in range(30):
+            I = random_monomial_ideal(rng, 3, 3)
+            if I.is_zero or I.is_unit or I.is_stable():
+                continue
+            for d in range(1, 6):
+                try:
+                    answered += lexd(I, d).numerator() == I.numerator()
+                except DomainError:
+                    pass
+        assert answered >= 20
+
 
 class TestCharacterize:
     def test_running_example_accepts(self):
@@ -566,7 +637,8 @@ class TestRegularityRange:
 
     def test_matches_per_witness_lexd(self):
         # the range builds every witness from one read of H; lexd, which
-        # recomputes reg(I) and H for each r, is the reference
+        # reads H anew for each r and decides by comparing Hilbert series,
+        # is the reference
         rng = random.Random(611)
         checked = 0
         for _ in range(25):

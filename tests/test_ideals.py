@@ -192,6 +192,28 @@ class TestHilbert:
             for t in range(0, 8):
                 assert I.hilbert_quotient(t) == D.hilbert_quotient(t)
 
+    def test_numerator_never_ends_in_zero(self):
+        """Trailing zeros are dropped, so ideals with one Hilbert function
+        read one tuple: an ideal and its lexification agree, although the
+        latter's generators reach higher degrees."""
+        assert MonomialIdeal.zero(R4).numerator() == (1,)
+        assert ideal(R4, "1").numerator() == ()
+        assert ideal(R4, "x1*x2", "x3*x4").numerator() == (1, 0, -2, 0, 1)
+        rng = random.Random(43)
+        checked = 0
+        for _ in range(60):
+            n = rng.randint(2, 4)
+            I = random_monomial_ideal(rng, n, 4, count=rng.randint(2, 5))
+            if I.is_zero or I.is_unit:
+                continue
+            for q in range(1, n + 1):
+                for squarefree in (False, True):
+                    N = I.numerator(q, squarefree)
+                    assert not N or N[-1] != 0, (I, q, squarefree)
+            assert I.numerator() == lexify(I).numerator(), I
+            checked += 1
+        assert checked >= 50
+
     def test_edge_ideal_past_the_enumeration_cap(self):
         # 21 edges in 8 variables; degree 21 has 1 184 040 monomials, and
         # the count needs no enumeration of them

@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from dreglex import dlex, squarefree
+from dreglex import dlex, koszul, squarefree
 from dreglex.betti import ahh_betti, ek_betti
 from dreglex.dlex import l_sequence
 from dreglex.errors import DomainError, FormatError
-from dreglex.ideals import MonomialIdeal, sq_lexify
+from dreglex.ideals import MonomialIdeal, sq_lexify, squarefree_counts
 from dreglex.koszul import koszul_betti
 from dreglex.monomials import GroundRing, Monomial, enumerate_degree, parse_monomial
 from dreglex.squarefree import (
@@ -222,6 +222,68 @@ class TestSqLexD:
         with pytest.raises(DomainError):
             sq_lexd(SECTION4, 7)
 
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_domain_is_the_hilbert_function(self, d):
+        # SqLex(SECTION4) has regularity 5 but SECTION4's counts, which
+        # SECTION4 realizes with regularity 3
+        assert sq_lexd(sq_lexify(SECTION4), d) == sq_lexd(SECTION4, d)
+
+    def test_count_mismatch_is_the_domain_test(self):
+        # every step of the construction goes through for d = 2, and only
+        # the final comparison of all counts finds the candidate wrong
+        I = ideal(R4, "x1", "x2*x3*x4")
+        with pytest.raises(DomainError, match="2-regular ideal: the only candidate misses degree 2"):
+            sq_lexd(I, 2)
+        assert sq_lexd(I, 3) == sq_lexd(sq_lexify(I), 3) == ideal(R4, "x1", "x2*x3*x4")
+
+    def test_depends_on_the_counts_alone(self):
+        """On I and SqLex(I), which share the squarefree counts, sq_lexd
+        answers alike or refuses alike; each answer is squarefree strongly
+        stable with AHH regularity <= d and keeps the counts."""
+        rng = random.Random(187)
+        answered = refused = widened = 0
+        for _ in range(300):
+            I = random_squarefree_ideal(rng, rng.randint(3, 6), 4, count=rng.randint(1, 4))
+            if I.is_zero or I.is_unit:
+                continue
+            L = sq_lexify(I)
+            for d in range(1, I.ring.num_vars + 1):
+                try:
+                    J = sq_lexd(I, d)
+                except DomainError:
+                    with pytest.raises(DomainError):
+                        sq_lexd(L, d)
+                    refused += 1
+                    continue
+                assert sq_lexd(L, d) == J, (I, d)
+                assert J.is_squarefree_strongly_stable() and ahh_betti(J).regularity() <= d
+                assert squarefree_counts(J) == squarefree_counts(I)
+                answered += 1
+                widened += d < L.max_gen_degree  # reg(SqLex(I)), refused once
+        assert answered >= 800 and refused >= 300 and widened >= 10
+
+    def test_never_reaches_a_betti_backend(self, monkeypatch):
+        """reg(I) is never computed: with the Betti backends failing,
+        sq_lexd still answers and refuses on non-stable inputs."""
+        monkeypatch.setattr(dlex, "betti_auto", lambda *a: pytest.fail("betti_auto called"))
+        monkeypatch.setattr(koszul, "koszul_betti", lambda *a, **k: pytest.fail("koszul_betti called"))
+        assert not SECTION4.is_squarefree_strongly_stable()
+        assert sq_lexd(SECTION4, 3) == ideal(R6, "x1*x2*x3", "x1*x2*x4", "x1*x3*x4", "x2*x3*x4")
+        with pytest.raises(DomainError):
+            sq_lexd(SECTION4, 2)
+        R8 = GroundRing(8)
+        cycle = MonomialIdeal(R8, [parse_monomial(f"x{i}*x{i % 8 + 1}", R8) for i in range(1, 9)])
+        answers = {}
+        for d in range(1, 9):
+            try:
+                answers[d] = sq_lexd(cycle, d)
+            except DomainError:
+                pass
+        assert sorted(answers) == [3, 4, 5, 6, 7, 8]
+        for d, J in answers.items():
+            assert J.is_squarefree_strongly_stable() and J.max_gen_degree <= d
+            assert squarefree_counts(J) == squarefree_counts(cycle)
+
     def test_hilbert_preserved_random(self):
         rng = random.Random(173)
         for _ in range(40):
@@ -297,7 +359,8 @@ class TestSqRegularityRange:
 
     def test_matches_per_witness_sq_lexd(self):
         # the range builds every witness from one read of the squarefree
-        # counts; sq_lexd, which recomputes reg(I) and the counts, is the reference
+        # counts; sq_lexd, which reads the counts anew for each r and decides
+        # by comparing them, is the reference
         rng = random.Random(613)
         checked = 0
         for _ in range(60):
