@@ -243,8 +243,12 @@ VERBS = (
         "realizes it; a non-minimal representative yields the tail subset.  The "
         "lexification's end and every witness are read from the Hilbert function.",
     }, [CAP, JSON, *IDEAL], lambda a: _range_text(regularity_range(_load_ideal(a), a.cap), a)),
-    ("sq-reg-range", {"help": "squarefree analogue of reg-range"}, [CAP, JSON, *IDEAL],
-     lambda a: _range_text(sq_regularity_range(_load_ideal(a), a.cap), a)),
+    ("sq-reg-range", {
+        "help": "squarefree analogue of reg-range",
+        "description": "Witnesses of every regularity that a squarefree ideal with the input's Hilbert "
+        "function can have, from the least, which may lie below the input's own, up to the squarefree "
+        "lexification's.  The range and every witness are read from the input's squarefree counts alone.",
+    }, [JSON, *IDEAL], lambda a: _range_text(sq_regularity_range(_load_ideal(a)), a)),
     ("area", {"help": "extremal-area utilities"}, [
         _arg("action", choices=["conv", "check", "rep"]), _arg("points", help=AREA_HELP), JSON,
     ], _area_text),

@@ -144,9 +144,12 @@ def parse_hilbert(text: str) -> HilbertSpec:
     lines = [ln for ln in lines if ln]
     if not lines:
         raise FormatError("empty Hilbert specification")
-    header = dict(_split_header(lines[0]))
-    if set(header) != {"n", "role"}:
-        raise FormatError(f"bad Hilbert header {lines[0]!r}")
+    # two fields, keyed n and role: a repeated key or a field without "="
+    # leaves fewer than two keys
+    fields = lines[0].split()
+    header = dict(field.split("=", 1) for field in fields if "=" in field)
+    if len(fields) != 2 or set(header) != {"n", "role"}:
+        raise FormatError(f"bad Hilbert header {lines[0]!r}: need exactly the fields n=<int> and role=<ideal|quotient>")
     try:
         n = int(header["n"])
         values = tuple(int(ln) for ln in lines[1:])
@@ -156,16 +159,6 @@ def parse_hilbert(text: str) -> HilbertSpec:
         return HilbertSpec(n, values, header["role"])
     except DomainError as exc:
         raise FormatError(str(exc)) from exc
-
-
-def _split_header(line: str) -> list[tuple[str, str]]:
-    pairs = []
-    for field in line.split():
-        if "=" not in field:
-            raise FormatError(f"bad header field {field!r}")
-        key, _, val = field.partition("=")
-        pairs.append((key, val))
-    return pairs
 
 
 def format_hilbert(H: HilbertSpec) -> str:

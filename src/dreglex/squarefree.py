@@ -163,23 +163,33 @@ def _sq_lexd_from_counts(ring: GroundRing, counts: tuple[int, ...], d: int) -> M
     return J
 
 
-def sq_regularity_range(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> dict[int, MonomialIdeal]:
+def sq_regularity_range(I: MonomialIdeal) -> dict[int, MonomialIdeal]:
     """Witnesses r -> squarefree ideal of regularity exactly r sharing I's
-    Hilbert function, for r from reg(I) up to reg(SqLex(I)).
+    Hilbert function, for every r that some squarefree ideal with that
+    Hilbert function has: from the least such r, which is at most reg(I), up
+    to reg(SqLex(I)), the largest (Aramova-Herzog-Hibi, Math. Z. 228, 1998).
 
-    Everything past reg(I) comes from the squarefree member counts alone,
-    read once: SqLex(I)'s generators come from them, its regularity is its
-    top generator degree b (AHH), and each witness is built from them too."""
+    The range is decided by the squarefree member counts alone, read once.
+    For r = 1, 2, ... the squarefree r-lexsegment candidate is built from
+    them: it is refused until r reaches the least regularity (squarefree
+    algebraic shifting keeps the counts and the regularity), then it has AHH
+    regularity exactly r, and the first candidate of regularity below r is
+    SqLex(I), which ends the range.  reg(I) itself is never computed."""
     _require_proper_squarefree(I)
-    a = regularity(I, cap)
     counts = squarefree_counts(I)
-    b = max(t for t, layer in enumerate(sq_lex_layers(I.ring, counts[1:]), start=1) if layer)
     out: dict[int, MonomialIdeal] = {}
-    for r in range(a, b + 1):
-        witness = _sq_lexd_from_counts(I.ring, counts, r)
+    for r in range(1, I.ring.num_vars + 1):
+        try:
+            witness = _sq_lexd_from_counts(I.ring, counts, r)
+        except DomainError as exc:
+            if out:
+                raise AssertionError(f"no witness for r={r} although r={r - 1} has one") from exc
+            continue
         got = ahh_betti(witness).regularity()
-        if got != r:
+        if got > r:
             raise AssertionError(f"witness for r={r} has regularity {got}")
+        if got < r:
+            break
         out[r] = witness
     return out
 
@@ -303,9 +313,7 @@ def eagon_reiner_cm(complex_: SimplicialComplex, cap: int = DEFAULT_LATTICE_CAP)
     if dual_ideal.is_unit:
         raise DomainError("degenerate dual (unit ideal); verdict undefined")
     d = dual_ideal.max_gen_degree
-    if dual_ideal.min_gen_degree != d:
-        return False
-    return regularity(dual_ideal, cap) == d
+    return dual_ideal.min_gen_degree == d and regularity(dual_ideal, cap) == d
 
 
 # -- complex file format ----------------------------------------------------------

@@ -233,6 +233,15 @@ class TestCharacterize:
         code, out, _ = run(capsys, "characterize", "-d", "5", str(path))
         assert out.startswith("admissible")
 
+    @pytest.mark.parametrize("header", ["n=2 n=3 role=ideal", "n=3 role=ideal role=quotient"])
+    def test_repeated_header_field_exit_2(self, capsys, tmp_path, header):
+        # neither value of a repeated field may silently win
+        path = tmp_path / "h.spec"
+        path.write_text(f"{header}\n0\n1\n3\n")
+        code, out, err = run(capsys, "characterize", "-d", "1", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"format error: bad Hilbert header {header!r}")
+
     @pytest.mark.parametrize("d", ["0", "-2"])
     def test_nonpositive_d_rejected(self, capsys, tmp_path, running, d):
         _, spec_text, _ = run(capsys, "hilb", "--through", "6", running)
@@ -305,6 +314,14 @@ class TestRanges:
         code, out, _ = run(capsys, "sq-reg-range", str(path))
         assert code == 0
         assert out.splitlines()[0] == "range: 3 4 5"
+
+    def test_sq_reg_range_starts_below_the_input_regularity(self, capsys, tmp_path):
+        # the 12-cycle has regularity 5; its squarefree counts admit 4
+        path = tmp_path / "cycle12.ideal"
+        path.write_text("n=12\n" + "".join(f"x{i}*x{i % 12 + 1}\n" for i in range(1, 13)))
+        code, out, _ = run(capsys, "sq-reg-range", str(path))
+        assert code == 0
+        assert out.splitlines()[0] == "range: 4 5 6"
 
 
 class TestArea:
@@ -432,13 +449,13 @@ class TestComplexVerbs:
 class TestCapFlag:
     """--cap is accepted exactly by the verbs that read it: it bounds the
     Koszul oracle's lcm lattice, and nothing else enumerates under a cap.
-    dlex and sqdlex decide from the Hilbert function and never reach the
-    oracle."""
+    dlex, sqdlex and sq-reg-range decide from the Hilbert function and never
+    reach the oracle."""
 
     @pytest.mark.parametrize("argv", [
         ["hilb", "-t", "3"], ["lex"], ["sqlex"], ["phi"], ["phi-inv"], ["phi-tilde"], ["lseq"],
         ["characterize", "-d", "3"], ["lexarea", "--area", "(2,4)"],
-        ["dlex", "-d", "3"], ["sqdlex", "-d", "3"],
+        ["dlex", "-d", "3"], ["sqdlex", "-d", "3"], ["sq-reg-range"],
     ])
     def test_verbs_without_enumeration_reject_cap(self, capsys, running, argv):
         with pytest.raises(SystemExit) as exc:
@@ -447,7 +464,7 @@ class TestCapFlag:
         assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
-        ["betti"], ["reg-range"], ["sq-reg-range"], ["complex", "cm"],
+        ["betti"], ["reg-range"], ["complex", "cm"],
     ])
     def test_reading_verbs_accept_cap(self, argv):
         assert dreglex.cli.build_parser().parse_args(argv + ["in.txt", "--cap", "7"]).cap == 7

@@ -218,3 +218,10 @@ class TestHilbertFile:
             parse_hilbert("n=x role=ideal\n0\n")
         with pytest.raises(FormatError):
             parse_hilbert("n=4 role=ideal\n0\n-3\n")
+
+    @pytest.mark.parametrize("header", [
+        "n=2 n=3 role=ideal", "n=3 role=ideal role=quotient", "n=3 role=ideal n", "n=3 role=ideal x=1", "n=3",
+    ])
+    def test_header_needs_exactly_n_and_role(self, header):
+        with pytest.raises(FormatError, match="bad Hilbert header"):
+            parse_hilbert(f"{header}\n0\n1\n")

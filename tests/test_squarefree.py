@@ -1,6 +1,7 @@
 """The squarefree world: spreading maps, squarefree d-lexsegment ideals,
 simplicial complexes, duality, and the Cohen-Macaulay test."""
 
+import itertools
 import math
 import random
 
@@ -8,7 +9,7 @@ import pytest
 
 from dreglex import dlex, koszul, squarefree
 from dreglex.betti import ahh_betti, ek_betti
-from dreglex.dlex import l_sequence
+from dreglex.dlex import l_sequence, regularity
 from dreglex.errors import DomainError, FormatError
 from dreglex.ideals import MonomialIdeal, sq_lexify, squarefree_counts
 from dreglex.koszul import koszul_betti
@@ -372,13 +373,69 @@ class TestSqRegularityRange:
                 checked += 1
         assert checked >= 60
 
-    def test_regularity_and_counts_computed_once(self, monkeypatch):
+    def test_counts_read_once_without_a_betti_backend(self, monkeypatch):
+        # reg(SECTION4) = 3 is also the least regularity of its counts, so
+        # the range keeps its start without the oracle
         calls = []
-        real_auto, real_counts = dlex.betti_auto, squarefree.squarefree_counts
-        monkeypatch.setattr(dlex, "betti_auto", lambda *a: calls.append("reg") or real_auto(*a))
+        real_counts = squarefree.squarefree_counts
+        monkeypatch.setattr(dlex, "betti_auto", lambda *a: pytest.fail("betti_auto called"))
+        monkeypatch.setattr(koszul, "koszul_betti", lambda *a, **k: pytest.fail("koszul_betti called"))
         monkeypatch.setattr(squarefree, "squarefree_counts", lambda I: calls.append("counts") or real_counts(I))
         assert sorted(sq_regularity_range(SECTION4)) == [3, 4, 5]
-        assert calls == ["reg", "counts"]
+        assert calls == ["counts"]
+
+    def test_range_starts_below_the_input_regularity(self):
+        # reg(I) = 3, yet the edge ideal of the triangle on x1, x2, x3 has
+        # the same squarefree counts and regularity 2
+        I = ideal(R4, "x1*x4", "x2*x4", "x3*x4", "x1*x2*x3")
+        assert regularity(I) == 3
+        witnesses = sq_regularity_range(I)
+        assert sorted(witnesses) == [2, 3]
+        assert witnesses[2] == ideal(R4, "x1*x2", "x1*x3", "x2*x3")
+
+    @pytest.mark.parametrize("n, expected", [(8, [3, 4]), (12, [4, 5, 6])])
+    def test_cycle_ranges(self, n, expected):
+        ring = GroundRing(n)
+        cycle = MonomialIdeal(ring, [parse_monomial(f"x{i}*x{i % n + 1}", ring) for i in range(1, n + 1)])
+        assert regularity(cycle) == expected[1]
+        witnesses = sq_regularity_range(cycle)
+        assert sorted(witnesses) == expected
+        for r, J in witnesses.items():
+            assert J.is_squarefree_strongly_stable() and ahh_betti(J).regularity() == r
+            assert squarefree_counts(J) == squarefree_counts(cycle)
+
+    def test_range_is_every_regularity_of_the_counts(self):
+        # the range is {d : SqLex^(d)(I) exists and has regularity exactly d};
+        # it starts at or below reg(I), the oracle here only a reference, and
+        # ends at reg(SqLex(I)).  Edge ideals of random graphs start below
+        # reg(I) more often than ideals of random generators do
+        rng = random.Random(2207)
+        widened = 0
+        for _ in range(400):
+            if rng.random() < 0.5:
+                I = random_squarefree_ideal(rng, rng.randint(2, 7), 4, count=rng.randint(1, 8))
+            else:
+                n = rng.randint(4, 8)
+                ring = GroundRing(n)
+                edges = [e for e in itertools.combinations(range(1, n + 1), 2) if rng.random() < 0.4]
+                I = MonomialIdeal(ring, map(ring.squarefree, edges))
+            if I.is_zero or I.is_unit:
+                continue
+            expected = []
+            for d in range(1, I.ring.num_vars + 1):
+                try:
+                    J = sq_lexd(I, d)
+                except DomainError:
+                    continue
+                if ahh_betti(J).regularity() == d:
+                    expected.append(d)
+            witnesses = sq_regularity_range(I)
+            assert sorted(witnesses) == expected, I
+            reg = regularity(I)
+            assert min(witnesses) <= reg
+            assert max(witnesses) == ahh_betti(sq_lexify(I)).regularity()
+            widened += min(witnesses) < reg
+        assert widened >= 3, widened
 
 
 class TestComplexBasics:
