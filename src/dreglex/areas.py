@@ -7,6 +7,15 @@ areas are the ones whose corners march diagonally away from a top corner; for
 those, a strongly stable ideal admitting the area is re-lexified degree by
 degree, generator by generator, into the unique ideal with maximal graded
 Betti numbers among all ideals with the same Hilbert function and the area.
+
+Areas are read only through their corners, so they may be arbitrarily tall.
+The construction walks a degree only where its answer can change.  Below the
+top corner the degrees fall into at most n runs of constant profile p_j; at
+the first degree of a run past I's generators where I's part in the run's
+variables grows minimally and the built slice has that part's size, Gotzmann
+persistence (Bruns-Herzog, Cohen-Macaulay Rings, 4.3) leaves the rest of the
+run without a generator, and the walk jumps to its last degree.  Above the
+top corner at most n - 1 degrees remain.
 """
 
 from __future__ import annotations
@@ -22,8 +31,6 @@ from .ideals import MonomialIdeal
 from .macaulay import up
 from .monomials import GroundRing, Monomial, lex_prefix_counts
 
-MAX_AREA_HEIGHT = 64
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class ExtremalArea:
@@ -38,10 +45,6 @@ class ExtremalArea:
         for (i, j) in points:
             if i < 0 or j < 1:
                 raise DomainError(f"area point {(i, j)} outside [0..n-1] x [1..]")
-            if j > MAX_AREA_HEIGHT:
-                raise DomainError(
-                    f"area height {j} exceeds {MAX_AREA_HEIGHT}, the bound on how far cells, conv_hull and lex_i_a walk"
-                )
             pts.add((i, j))
         if not pts:
             raise DomainError("an extremal area must be nonempty")
@@ -70,12 +73,6 @@ class ExtremalArea:
             return False
         return any(i <= ci and j <= cj for ci, cj in self.corners)
 
-    def cells(self) -> frozenset[tuple[int, int]]:
-        out = set()
-        for ci, cj in self.corners:
-            out.update((i, j) for i in range(ci + 1) for j in range(1, cj + 1))
-        return frozenset(out)
-
     def p_profile(self, j: int) -> int:
         """max { i : (i, j) in the area }, or -1 above the area."""
         tops = [ci for ci, cj in self.corners if cj >= j]
@@ -102,17 +99,6 @@ class ExtremalArea:
             ):
                 return True
         return False
-
-    def reducible_points(self) -> frozenset[tuple[int, int]]:
-        """Cells (i, j) with i > 0 whose upper-left diagonal neighbour
-        (i-1, j+1) has left the area."""
-        return frozenset(
-            (i, j) for (i, j) in self.cells() if i > 0 and (i - 1, j + 1) not in self
-        )
-
-    def core_cells(self) -> frozenset[tuple[int, int]]:
-        """The area minus its reducible points."""
-        return self.cells() - self.reducible_points()
 
     def conv_hull(self) -> ExtremalArea:
         """The smallest semi-convex area containing this one: walk each corner
@@ -207,11 +193,26 @@ def _construct_with_top(I: MonomialIdeal, area: ExtremalArea, top: tuple[int, in
     prefix) below the top corner and r = p_{j+1} + 3 from it on.  The slice
     below meets x1..x_m, m = r_{j-1} - 1, in a lex prefix, the larger of its
     degree's set there and the span of the slice under it, so each degree's
-    new generators come from lex ranks alone (``dlinear_layer``)."""
-    ring, n = I.ring, I.ring.num_vars
+    new generators come from lex ranks alone (``dlinear_layer``).
+
+    Below the top corner the degrees fall into runs of constant q = p_j + 1
+    (r = q + 1), one run per corner from the top corner on, and the run of
+    the corner (q - 1, c) ends at e = min(top_j - 1, c).  Once a degree j of
+    a run lies past I's top generator degree g, carries a slice of exactly
+    I_q's size (prev == I.count(j, q), the span term not binding) and sees
+    I_q, the part of I in k[x1..xq], grow minimally into it (I.count(j, q)
+    == up(I.count(j - 1, q), q - 1)), Gotzmann persistence (Bruns-Herzog,
+    Cohen-Macaulay Rings, 4.3) keeps that growth minimal in every later
+    degree: each lex prefix then spans the next degree's, no degree up to e
+    adds a generator, and each leaves prev = I.count(t, q).  The walk jumps
+    to e with prev = I.count(e, q).  Above the top corner the corners step
+    j down by one, so at most n - 1 degrees remain, and the walk's length
+    is independent of the area's height."""
+    ring, n, g = I.ring, I.ring.num_vars, I.max_gen_degree
     gens: list[Monomial] = []
-    prev, m = 0, n  # the slice below meets x1..x_m in a lex prefix of this size
-    for j in range(1, area.max_j + 1):
+    prev, m, j = 0, n, 0  # the slice below meets x1..x_m in a lex prefix of this size
+    while j < area.max_j:
+        j += 1
         q = area.p_profile(j) + 1
         r = q + 1 if j < top[1] else area.p_profile(j + 1) + 3
         if r > q + 1:
@@ -221,4 +222,7 @@ def _construct_with_top(I: MonomialIdeal, area: ExtremalArea, top: tuple[int, in
         below = lex_prefix_counts(ring, j - 1, prev, max_var=m)
         gens += dlinear_layer(_relex_counts(ring, j, counts, r), ring, below)
         prev, m = max(cumulative[r - 1], up(below[r - 2], r - 2)), r - 1
+        if g < j < top[1] and prev == cumulative[q] == up(I.count(j - 1, q), q - 1):
+            j = min(top[1] - 1, next(cj for ci, cj in area.corners if ci == q - 1))
+            prev = I.count(j, q)
     return MonomialIdeal._from_minimal(ring, gens)

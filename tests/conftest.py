@@ -146,6 +146,25 @@ def truncate_geq(I: MonomialIdeal, k: int) -> MonomialIdeal:
     return MonomialIdeal(I.ring, I.degree_slice(k) + tuple(g for g in I.gens if g.degree > k))
 
 
+# -- extremal-area references: each lists every cell of an area ---------------
+
+
+def cells(area) -> frozenset[tuple[int, int]]:
+    """Every cell (i, j) that some corner of the area dominates."""
+    return frozenset((i, j) for ci, cj in area.corners for i in range(ci + 1) for j in range(1, cj + 1))
+
+
+def reducible_points(area) -> frozenset[tuple[int, int]]:
+    """Cells (i, j) with i > 0 whose upper-left diagonal neighbour
+    (i-1, j+1) has left the area."""
+    return frozenset((i, j) for (i, j) in cells(area) if i > 0 and (i - 1, j + 1) not in area)
+
+
+def core_cells(area) -> frozenset[tuple[int, int]]:
+    """The area minus its reducible points."""
+    return cells(area) - reducible_points(area)
+
+
 # -- random generators ----------------------------------------------------------
 
 

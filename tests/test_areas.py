@@ -6,7 +6,6 @@ import random
 import pytest
 
 from dreglex.areas import (
-    MAX_AREA_HEIGHT,
     ExtremalArea,
     _construct_with_top,
     _relex_counts,
@@ -16,17 +15,21 @@ from dreglex.areas import (
     parse_area,
 )
 from dreglex.betti import ahh_betti, ek_betti
-from dreglex.dlex import dlinear_lex_from_l, l_sequence, lexd
+from dreglex.dlex import dlinear_layer, dlinear_lex_from_l, l_sequence, lexd
 from dreglex.errors import DomainError, FormatError
-from dreglex.ideals import MonomialIdeal
-from dreglex.monomials import GroundRing, Monomial, lex_prefix, parse_monomial
+from dreglex.ideals import MonomialIdeal, lexify
+from dreglex.macaulay import up
+from dreglex.monomials import GroundRing, Monomial, lex_prefix, lex_prefix_counts, parse_monomial
 from dreglex.squarefree import phi_tilde
 from tests.conftest import (
+    cells,
+    core_cells,
     is_dlinear_lex,
     is_lexsegment_set,
     m_le_k,
     random_strongly_stable_ideal,
     random_strongly_stable_set,
+    reducible_points,
 )
 
 R4 = GroundRing(4)
@@ -83,12 +86,20 @@ class TestRepresentation:
         with pytest.raises(DomainError):
             ExtremalArea([])
 
-    def test_height_bound(self):
-        """The height bound limits how far an area is walked: the bound
-        itself is accepted, one past it is rejected."""
-        assert ExtremalArea([(4, MAX_AREA_HEIGHT)]).max_j == MAX_AREA_HEIGHT == 64
-        with pytest.raises(DomainError, match="the bound on how far cells, conv_hull and lex_i_a walk"):
-            ExtremalArea([(4, MAX_AREA_HEIGHT + 1)])
+    def test_tall_area(self):
+        """Areas have no height bound: one of height 10^30 builds, and every
+        method, reading corners only, answers at once."""
+        h = 10**30
+        area = ExtremalArea([(1, h), (2, h - 1), (4, 2), (0, 5)])
+        assert area.standard_representation == ((1, h), (2, h - 1), (4, 2))
+        assert area.max_i == 4 and area.max_j == h
+        assert (2, h - 1) in area and (2, h) not in area and (4, 3) not in area
+        assert [area.p_profile(j) for j in (1, 2, 3, h - 1, h, h + 1)] == [4, 4, 2, 2, 1, -1]
+        assert area.top_points() == ((1, h), (2, h - 1))
+        assert not area.is_semi_convex()
+        hull = area.conv_hull()
+        assert hull.standard_representation == ((1, h), (2, h - 1), (3, 3), (4, 2))
+        assert hull.is_semi_convex() and hull.conv_hull() == hull
 
     def test_parse_format_roundtrip(self):
         for text in ["(2,4);(4,2)", "(0,1)", "(1,5);(2,3);(4,1)"]:
@@ -115,7 +126,7 @@ class TestSemiConvexity:
 
     def test_top_points_are_diagonal_argmax(self):
         for area in all_areas(4, 5):
-            best = max(i + j for (i, j) in area.cells())
+            best = max(i + j for (i, j) in cells(area))
             expected = tuple(
                 p for p in area.standard_representation if p[0] + p[1] == best
             )
@@ -137,19 +148,19 @@ class TestSemiConvexity:
 
 class TestReduciblePoints:
     def test_column_area_has_none(self):
-        assert ExtremalArea([(0, 4)]).reducible_points() == frozenset()
+        assert reducible_points(ExtremalArea([(0, 4)])) == frozenset()
 
     def test_unit_square(self):
         area = ExtremalArea([(1, 1)])
-        assert area.reducible_points() == {(1, 1)}
+        assert reducible_points(area) == {(1, 1)}
 
     def test_three_corner_area_cellwise(self):
         # brute-force scan of the definition over all cells
         expected = {
-            (i, j) for (i, j) in AREA_B.cells() if i > 0 and (i - 1, j + 1) not in AREA_B
+            (i, j) for (i, j) in cells(AREA_B) if i > 0 and (i - 1, j + 1) not in AREA_B
         }
-        assert AREA_B.reducible_points() == expected
-        assert AREA_B.core_cells() == AREA_B.cells() - expected
+        assert reducible_points(AREA_B) == expected
+        assert core_cells(AREA_B) == cells(AREA_B) - expected
 
     def test_reducible_points_sit_at_or_above_top(self):
         # reducible cells never lie strictly below every top corner offset
@@ -157,7 +168,7 @@ class TestReduciblePoints:
             if not area.is_semi_convex():
                 continue
             for (ir, jr) in area.top_points():
-                for (i, j) in area.reducible_points():
+                for (i, j) in reducible_points(area):
                     assert j >= jr
 
 
@@ -200,9 +211,9 @@ class TestConvHull:
         # brute-force minimality over the enclosing box
         candidates = [
             a for a in all_areas(5, 5)
-            if a.is_semi_convex() and area.cells() <= a.cells()
+            if a.is_semi_convex() and cells(area) <= cells(a)
         ]
-        assert min(len(a.cells()) for a in candidates) == len(hull.cells())
+        assert min(len(cells(a)) for a in candidates) == len(cells(hull))
 
     def test_minimal_semi_convex_superset(self):
         """Brute-force oracle: the hull is the unique cell-minimal semi-convex
@@ -213,12 +224,12 @@ class TestConvHull:
         for area in rng.sample(areas, 40):
             hull = area.conv_hull()
             assert hull.is_semi_convex()
-            assert area.cells() <= hull.cells()
+            assert cells(area) <= cells(hull)
             best = min(
-                (c for c in candidates if area.cells() <= c.cells()),
-                key=lambda c: len(c.cells()),
+                (c for c in candidates if cells(area) <= cells(c)),
+                key=lambda c: len(cells(c)),
             )
-            assert len(best.cells()) == len(hull.cells())
+            assert len(cells(best)) == len(cells(hull))
             assert best == hull
 
     def test_idempotent(self):
@@ -307,6 +318,37 @@ def slice_construct(I, area, top):
     return MonomialIdeal(I.ring, parts)
 
 
+def walk_every_degree(I, area, top):
+    """``_construct_with_top`` without its jumps, building every degree from
+    1 to the area's height: the reference for the jumps."""
+    ring, n = I.ring, I.ring.num_vars
+    gens = []
+    prev, m = 0, n
+    for j in range(1, area.max_j + 1):
+        q = area.p_profile(j) + 1
+        r = q + 1 if j < top[1] else area.p_profile(j + 1) + 3
+        cumulative = [I.count(j, k) for k in range(q + 1)]
+        counts = [cumulative[k] - cumulative[k - 1] for k in range(1, q + 1)] + [0] * (n - q)
+        below = lex_prefix_counts(ring, j - 1, prev, max_var=m)
+        gens += dlinear_layer(_relex_counts(ring, j, counts, r), ring, below)
+        prev, m = max(cumulative[r - 1], up(below[r - 2], r - 2)), r - 1
+    return MonomialIdeal._from_minimal(ring, gens)
+
+
+@pytest.fixture
+def layer_calls(monkeypatch):
+    """Count the layers the construction builds, one per degree it walks."""
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return dlinear_layer(*args)
+
+    monkeypatch.setattr("dreglex.areas.dlinear_layer", counted)
+    return lambda: calls
+
+
 class TestLexIA:
     def test_section5_example(self):
         L = lex_i_a(COUNTER_I, AREA_B)
@@ -347,7 +389,8 @@ class TestLexIA:
     def test_matches_slice_construction(self):
         # the rank-level construction against the set-level one it replaced,
         # on Betti-support hulls and on hulls enlarged by 1-3 random corners
-        # up to height 8, where the slice below spans more of a degree
+        # up to height 12, where the slice below spans more of a degree and
+        # the walk jumps over the degrees where I settles
         rng = random.Random(241)
         checked = enlarged = 0
         for _ in range(60):
@@ -358,7 +401,7 @@ class TestLexIA:
             hull = ExtremalArea([(i, j - i) for (i, j) in ek_betti(I).entries]).conv_hull()
             if hull.max_i > n - 1:
                 continue
-            extra = [(rng.randint(0, n - 1), rng.randint(1, 8)) for _ in range(rng.randint(1, 3))]
+            extra = [(rng.randint(0, n - 1), rng.randint(1, 12)) for _ in range(rng.randint(1, 3))]
             grown = ExtremalArea(hull.corners + tuple(extra)).conv_hull()
             for area in (hull, grown):
                 for top in area.top_points():
@@ -366,6 +409,48 @@ class TestLexIA:
             checked += 1
             enlarged += grown != hull
         assert checked >= 30 and enlarged >= 20
+
+    def test_matches_every_degree_walk(self, layer_calls):
+        """The walk with jumps against the walk through every degree, for
+        every top corner, on Betti-support hulls enlarged by up to three
+        random corners of height up to 64; most walks jump."""
+        rng = random.Random(271)
+        checked = jumped = 0
+        while checked < 150:
+            I = random_strongly_stable_ideal(rng, rng.randint(2, 6), rng.randint(2, 5), parts=rng.randint(1, 3))
+            n = I.ring.num_vars
+            hull = ExtremalArea([(i, j - i) for (i, j) in ek_betti(I).entries]).conv_hull()
+            if hull.max_i > n - 1:
+                continue
+            extra = [(rng.randint(0, n - 1), rng.randint(1, 64)) for _ in range(rng.randint(0, 3))]
+            area = ExtremalArea(hull.corners + tuple(extra)).conv_hull()
+            for top in area.top_points():
+                before = layer_calls()
+                assert _construct_with_top(I, area, top) == walk_every_degree(I, area, top), (I, area, top)
+                jumped += layer_calls() - before < area.max_j
+            checked += 1
+        assert jumped >= 100
+
+    def test_tall_areas_settle_at_lex(self, layer_calls):
+        """Past the last degree where it can change, the construction jumps
+        over a run of degrees at once: at height 10^9 it builds about as many
+        layers as at height 64, and the rectangle over all homological
+        indices gives Lex(I), which ends in degree 4 here and in degree 17
+        on the Section 5 ideal."""
+        I = ideal(R5, "x1^2", "x1*x2", "x1*x3", "x2^2")
+        h = 10**9
+        cases = [
+            (I, "(4,{h})", 6),
+            (I, "(2,{h});(3,{h1});(4,7)", 7),
+            (COUNTER_I, "(4,{h})", 19),
+        ]
+        for J, text, layers in cases:
+            short = parse_area(text.format(h=64, h1=63))
+            assert lex_i_a(J, short) == walk_every_degree(J, short, min(short.top_points())) == lexify(J)
+            before = layer_calls()
+            assert lex_i_a(J, parse_area(text.format(h=h, h1=h - 1))) == lexify(J), text
+            assert layer_calls() - before == layers <= 19, text
+        assert lexify(I).max_gen_degree == 4 and lexify(COUNTER_I).max_gen_degree == 17
 
     def test_rectangle_is_dlex(self):
         """On the rectangle of homological indices 0..n-1 and offsets 1..d
@@ -513,7 +598,7 @@ class TestChoiceLemma:
             if area.max_i > I.ring.num_vars - 1:
                 continue
             J = lex_i_a(I, area)
-            core = area.core_cells()
+            core = core_cells(area)
             top = max(I.max_gen_degree, J.max_gen_degree) + 2
             for j in range(1, top + 1):
                 si = I.degree_slice(j)
@@ -563,7 +648,7 @@ class TestSquarefreeTransfer:
                 continue
             D = ek_betti(I)
             area = ExtremalArea([(i, j - i) for (i, j) in D.entries]).conv_hull()
-            q_cells = [(i, j) for (i, j) in area.cells() if i + j <= n]
+            q_cells = [(i, j) for (i, j) in cells(area) if i + j <= n]
             if not q_cells:
                 continue
             restricted = ExtremalArea(q_cells)

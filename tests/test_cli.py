@@ -354,11 +354,12 @@ class TestLexArea:
         code, _, err = run(capsys, "lexarea", "--area", "(2,4);(4,2)", section5)
         assert code == 1
 
-    def test_height_bound_exit_2(self, capsys, section5):
-        code, out, _ = run(capsys, "lexarea", "--area", "(4,64)", section5)
-        assert code == 0 and out.startswith("n=5\n")
-        code, _, err = run(capsys, "lexarea", "--area", "(4,65)", section5)
-        assert code == 2 and "area height 65 exceeds 64" in err
+    def test_tall_area_is_lex(self, capsys, section5):
+        """Areas have no height bound: over the rectangle of height 10^9 the
+        area bounds nothing that Lex(I), ending in degree 17, reaches."""
+        code, out, _ = run(capsys, "lexarea", "--area", "(4,1000000000)", section5)
+        code2, lex, _ = run(capsys, "lex", section5)
+        assert code == code2 == 0 and out == lex
 
 
 class TestRoundTrips:
