@@ -191,23 +191,49 @@ def _construct_with_top(I: MonomialIdeal, area: ExtremalArea, top: tuple[int, in
     result is provably independent of the choice, which the tests verify.
     Degree j re-lexifies I's counts by max index with r = p_j + 2 (a lex
     prefix) below the top corner and r = p_{j+1} + 3 from it on.  The slice
-    below meets x1..x_m, m = r_{j-1} - 1, in a lex prefix, the larger of its
-    degree's set there and the span of the slice under it, so each degree's
-    new generators come from lex ranks alone (``dlinear_layer``).
+    below meets x1..x_m, m = r_{j-1} - 1, in a lex prefix of I's size there,
+    prev = I.count(j - 1, m), so each degree's new generators come from lex
+    ranks alone (``dlinear_layer``).
+
+    The span of the slice below never outgrows that prefix: its part in
+    x1..x_(r-1) spans at most cumulative[r - 1] = I.count(j, r - 1)
+    members, so the slice of degree j meets x1..x_(r-1) in exactly the lex
+    prefix of that size.  By induction on j, with prev = I.count(j - 1, m)
+    on entry: it holds at j = 1 (prev = 0, m = n), after each degree, and
+    after each jump below (m = q, prev = I.count(e, q)).
+    - r - 1 <= m.  The profile p_j never grows, and r <= q + 1 from the top
+      corner on, so r never grows from one degree to the next; and r <= q +
+      1 <= n + 1 at the first degree.
+    - A lex prefix P of degree t and size s in x1..x_m has at most as many
+      members in x1..x_k, k <= m, as a strongly stable set V of that degree
+      and size there.  For k = m - 1: V's members with x_m are x_m * W, and
+      V holds the span x1..x_m * W of W, so by Macaulay's theorem
+      (Bruns-Herzog, Cohen-Macaulay Rings, 4.2) the lex prefix of size |W|
+      spans at most s members.  The span of a lex prefix is the lex prefix
+      ending at x_m times its last member, so any lex prefix that spans at
+      most s members lies in W_P = {w : x_m * w in P}, and |W| <= |W_P|.
+      Smaller k follow by induction on m - k: P's part in x1..x_(m-1) is a
+      lex prefix no larger than V's part there, which is strongly stable,
+      and lex prefixes nest.
+    - With V the degree-(j-1) members of I in x1..x_m, of size prev, the
+      slice below has a = below[r - 2] <= I.count(j - 1, r - 1) members in
+      x1..x_(r-1).  Their span has up(a, r - 2) members, and by Macaulay's
+      theorem for I in k[x1..x_(r-1)], up(I.count(j - 1, r - 1), r - 2) <=
+      I.count(j, r - 1).  Since up is monotone, up(a, r - 2) <= cumulative[r - 1].
 
     Below the top corner the degrees fall into runs of constant q = p_j + 1
     (r = q + 1), one run per corner from the top corner on, and the run of
     the corner (q - 1, c) ends at e = min(top_j - 1, c).  Once a degree j of
     a run lies past I's top generator degree g, carries a slice of exactly
-    I_q's size (prev == I.count(j, q), the span term not binding) and sees
-    I_q, the part of I in k[x1..xq], grow minimally into it (I.count(j, q)
-    == up(I.count(j - 1, q), q - 1)), Gotzmann persistence (Bruns-Herzog,
-    Cohen-Macaulay Rings, 4.3) keeps that growth minimal in every later
-    degree: each lex prefix then spans the next degree's, no degree up to e
-    adds a generator, and each leaves prev = I.count(t, q).  The walk jumps
-    to e with prev = I.count(e, q).  Above the top corner the corners step
-    j down by one, so at most n - 1 degrees remain, and the walk's length
-    is independent of the area's height."""
+    I_q's size (prev == I.count(j, q)) and sees I_q, the part of I in
+    k[x1..xq], grow minimally into it (I.count(j, q) == up(I.count(j - 1,
+    q), q - 1)), Gotzmann persistence (Bruns-Herzog, Cohen-Macaulay Rings,
+    4.3) keeps that growth minimal in every later degree: each lex prefix
+    then spans the next degree's, no degree up to e adds a generator, and
+    each leaves prev = I.count(t, q).  The walk jumps to e with prev =
+    I.count(e, q).  Above the top corner the corners step j down by one, so
+    at most n - 1 degrees remain, and the walk's length is independent of
+    the area's height."""
     ring, n, g = I.ring, I.ring.num_vars, I.max_gen_degree
     gens: list[Monomial] = []
     prev, m, j = 0, n, 0  # the slice below meets x1..x_m in a lex prefix of this size
@@ -221,7 +247,7 @@ def _construct_with_top(I: MonomialIdeal, area: ExtremalArea, top: tuple[int, in
         counts = [cumulative[k] - cumulative[k - 1] for k in range(1, q + 1)] + [0] * (n - q)
         below = lex_prefix_counts(ring, j - 1, prev, max_var=m)
         gens += dlinear_layer(_relex_counts(ring, j, counts, r), ring, below)
-        prev, m = max(cumulative[r - 1], up(below[r - 2], r - 2)), r - 1
+        prev, m = cumulative[r - 1], r - 1
         if g < j < top[1] and prev == cumulative[q] == up(I.count(j - 1, q), q - 1):
             j = min(top[1] - 1, next(cj for ci, cj in area.corners if ci == q - 1))
             prev = I.count(j, q)

@@ -10,8 +10,10 @@ ideal and q by the pivot recursion N(S/I) = N(S/(I + (p))) + z^deg(p)
 N(S/(I : p)) (Bayer-Stillman 1992, Bigatti 1997), and ``MonomialIdeal.count``
 reads every count off it with exact binomial sums: the Hilbert function, the
 counts by max index of the degreewise Betti formulas and Lex(I, A), and the
-squarefree counts of SqLex.  It needs no enumeration and no cap.  The
-stability predicates read the minimal generators only.  ``degree_slice``
+squarefree counts of SqLex.  It needs no enumeration and no cap.  The three
+stability classes (stable, strongly stable, squarefree strongly stable) share
+one move-closure check on the minimal generators, and both strong-stability
+classes need only the adjacent moves x_q -> x_(q-1).  ``degree_slice``
 lists the members of one degree by testing every monomial of that degree, the
 reference the counts are checked against; no library path calls it.
 
@@ -314,26 +316,42 @@ class MonomialIdeal:
 
     # -- structural predicates -----------------------------------------------
     #
-    # Each closure condition holds on all of I once it holds on the minimal
-    # generators (Herzog-Hibi, Monomial Ideals, GTM 260, ch. 7): a member is
-    # u * w with u a generator, and the exchange lands in I either through u
-    # or through w.
+    # The three stability classes are closures under exchange moves
+    # x_q -> x_p, p < q, and share one check, ``_closed_under``, run on the
+    # minimal generators only.  That suffices (Herzog-Hibi, Monomial Ideals,
+    # GTM 260, ch. 7): a member is u * w with u a generator, and the exchange
+    # lands in I either through u or through w.  Both strong-stability classes
+    # need only the adjacent moves x_q -> x_(q-1) (see ``_closed_under``);
+    # stability's moves all leave x_max(u) and do not chain.
+
+    def _closed_under(self, key: str, moves: Callable[[Monomial], Iterable[tuple[int, int]]]) -> bool:
+        """Whether x_p * u / x_q lies in I for every generator u and every
+        move (p, q) in moves(u), memoized under ``key``.
+
+        Adjacent moves give every move.  Strongly stable: x_p * u / x_q is
+        the chain x_q -> x_(q-1) -> ... -> x_p, each step a move on a member
+        of I.  Squarefree strongly stable, with the moves x_q -> x_(q-1)
+        only onto a free x_(q-1): these reach every squarefree member m by
+        the u * w argument above (w is coprime to u, so an index free in m
+        is free in u).  Let x_q be in m, x_p not, p < q, and induct on
+        q - p.  If x_(q-1) is not in m, step m to the squarefree member
+        m' = x_(q-1) * m / x_q, then (if p < q - 1) move x_(q-1) -> x_p in
+        m'.  If it is, p < q - 1: move x_(q-1) -> x_p in m first, which
+        frees x_(q-1), then step x_q -> x_(q-1).  Either way each step goes
+        to a free index, and the result is x_p * m / x_q.
+        """
+        return self.memo(key, lambda: all(
+            self.contains(u.exchange(p, q)) for u in self.gens for p, q in moves(u)
+        ))
 
     def is_stable(self) -> bool:
         """Closure under the exchanges x_p * u / x_max(u), p < max(u)."""
-        return self.memo("stable", lambda: all(
-            self.contains(u.exchange(p, m))
-            for u in self.gens
-            for m in (u.max_index,)
-            for p in range(1, m)
-        ))
+        return self._closed_under("stable", lambda u: ((p, m) for m in (u.max_index,) for p in range(1, m)))
 
     def is_strongly_stable(self) -> bool:
-        """Closure under every exchange x_q -> x_p with p < q.  The moves
-        x_q -> x_{q-1} suffice: x_p * u / x_q is a chain of them."""
-        result = self.memo("strongly_stable", lambda: all(
-            self.contains(u.exchange(q - 1, q)) for u in self.gens for q in u.support if q > 1
-        ))
+        """Closure under every exchange x_q -> x_p with p < q, tested on the
+        moves x_q -> x_(q-1)."""
+        result = self._closed_under("strongly_stable", _adjacent_moves)
         if result:
             self.memo("stable", lambda: True)
         return result
@@ -356,14 +374,16 @@ class MonomialIdeal:
 
     def is_squarefree_strongly_stable(self) -> bool:
         """Squarefree, and closed under the squarefree exchanges x_q -> x_p
-        with p < q and x_p outside the support."""
-        return self.memo("sq_strongly_stable", lambda: self.is_squarefree and all(
-            self.contains(u.exchange(p, q))
-            for u in self.gens
-            for q in u.support
-            for p in range(1, q)
-            if not u.exponents[p - 1]
+        with p < q and x_p outside the support, tested on the moves
+        x_q -> x_(q-1) with x_(q-1) outside the support."""
+        return self.is_squarefree and self._closed_under("sq_strongly_stable", lambda u: (
+            (p, q) for p, q in _adjacent_moves(u) if not u.exponents[p - 1]
         ))
+
+
+def _adjacent_moves(u: Monomial) -> Iterator[tuple[int, int]]:
+    """The moves x_q -> x_(q-1) of u, as (q - 1, q) for q > 1 in its support."""
+    return ((q - 1, q) for q in u.support if q > 1)
 
 
 # -- lexification ---------------------------------------------------------------

@@ -165,6 +165,19 @@ def core_cells(area) -> frozenset[tuple[int, int]]:
     return cells(area) - reducible_points(area)
 
 
+def is_sq_strongly_stable_all_moves(I: MonomialIdeal) -> bool:
+    """Squarefree strong stability tested on every move: I squarefree, and
+    x_p * u / x_q in I for each generator u, each q in supp(u) and each
+    p < q outside supp(u).  The library tests the adjacent moves only."""
+    return I.is_squarefree and all(
+        I.contains(u.exchange(p, q))
+        for u in I.gens
+        for q in u.support
+        for p in range(1, q)
+        if not u.exponents[p - 1]
+    )
+
+
 # -- random generators ----------------------------------------------------------
 
 

@@ -25,13 +25,16 @@ from dreglex.squarefree import complex_from_ideal
 from tests.conftest import (
     faces,
     is_lexsegment_set,
+    is_sq_strongly_stable_all_moves,
     random_monomial,
     random_monomial_ideal,
     random_sq_strongly_stable_ideal,
     random_squarefree_ideal,
+    random_squarefree_monomial,
     random_stable_ideal,
     random_strongly_stable_ideal,
     sq_lex_layers_by_shadow,
+    sq_strongly_stable_closure,
     squarefree_slice,
     strongly_stable_closure,
     truncate_geq,
@@ -295,6 +298,47 @@ class TestPredicates:
                 seen[key].add(verdict)
         # both verdicts occur for each predicate
         assert all(v == {True, False} for v in seen.values())
+
+    def test_squarefree_adjacent_moves_match_all_moves(self):
+        # the squarefree predicate tests x_q -> x_(q-1) only onto a free
+        # x_(q-1); the reference tests every p < q outside the support.
+        # Seeds have gapped supports; a third of the ideals are closed under
+        # the moves, a third are closures less one member (near misses)
+        rng = random.Random(26)
+        verdicts = []
+        for k in range(2400):
+            n = rng.randint(2, 7)
+            seeds = [random_squarefree_monomial(rng, n, rng.randint(1, n)) for _ in range(rng.randint(1, 6))]
+            gens = set(seeds) if k % 3 == 0 else sq_strongly_stable_closure(seeds)
+            if k % 3 == 2 and len(gens) > 1:
+                gens.remove(rng.choice(sorted(gens, key=lambda m: m.exponents)))
+            I = MonomialIdeal(GroundRing(n), gens)
+            verdict = I.is_squarefree_strongly_stable()
+            assert verdict == is_sq_strongly_stable_all_moves(I), I
+            verdicts.append(verdict)
+        assert verdicts[1::3] == [True] * 800
+        assert verdicts.count(False) > 400 and verdicts[2::3].count(False) > 100
+
+    def test_squarefree_move_below_a_full_run(self):
+        # x2*x3: x3 -> x2 is blocked, and x2 -> x1 gives x1*x3, not in I
+        I = ideal(GroundRing(3), "x2*x3")
+        assert not I.is_squarefree_strongly_stable()
+        assert not is_sq_strongly_stable_all_moves(I)
+
+    def test_squarefree_predicate_tests_free_adjacent_moves_only(self, monkeypatch):
+        # SqLex of the 12-cycle, 199 generators: one membership test per
+        # q > 1 in supp(u) with x_(q-1) outside it, 549 in all; testing every
+        # p < q outside the support made 3672
+        n = 12
+        ring = GroundRing(n)
+        cycle = MonomialIdeal(ring, [parse_monomial(f"x{i}*x{i % n + 1}", ring) for i in range(1, n + 1)])
+        I = MonomialIdeal(ring, sq_lexify(cycle).gens)
+        tested = []
+        contains = MonomialIdeal.contains
+        monkeypatch.setattr(MonomialIdeal, "contains", lambda self, m: tested.append(m) or contains(self, m))
+        assert I.is_squarefree_strongly_stable()
+        moves = sum(1 for u in I.gens for q in u.support if q > 1 and not u.exponents[q - 2])
+        assert (len(I.gens), moves, len(tested)) == (199, 549, 549)
 
 
 class TestTruncations:
