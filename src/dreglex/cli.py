@@ -8,6 +8,13 @@ look library functions up by name when the verb runs, so rebinding a module
 global reaches them.  ``main`` alone writes to stdout and turns errors into
 exit codes: 0 success, 1 domain error (structured message on stderr), 2 I/O
 or format error.
+
+A command line that starts with a verb is parsed in one pass by that verb's
+own sub-parser, taken from the sub-parsers action of the one parser tree;
+leftover arguments go to the top-level parser's ``error``, as a full parse
+reports them.  Any other command line (no arguments, ``--help``,
+``--version``, an unknown verb) goes through the top-level parser.  Either
+way the output, the usage messages included, is that of a full parse.
 """
 
 from __future__ import annotations
@@ -103,13 +110,10 @@ def _range_text(witnesses, args) -> str:
 
 def _hilb_text(args) -> str:
     I = _load_ideal(args)
-    count = I.hilbert_quotient if args.quotient else I.hilbert
     if args.through is None:
-        value = count(args.degree)
+        value = (I.hilbert_quotient if args.quotient else I.hilbert)(args.degree)
         return _lines(json.dumps({"t": args.degree, "value": value}) if args.json else value)
-    if args.through < 0:
-        raise DomainError(f"negative degree {args.through}")
-    values = tuple(count(t) for t in range(args.through + 1))
+    values = I.hilbert_through(args.through, args.quotient)
     role = "quotient" if args.quotient else "ideal"
     if args.json:
         return _lines(json.dumps({"n": I.ring.num_vars, "role": role, "values": list(values)}))
@@ -261,8 +265,13 @@ VERBS = (
 )
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each verb's sub-parser, built once."""
     parser = argparse.ArgumentParser(
         prog="dreglex",
         description="Combinatorics of d-regular graded monomial ideals.",
@@ -279,11 +288,22 @@ def build_parser() -> argparse.ArgumentParser:
             else:
                 p.add_argument(*argument[0], **argument[1])
         p.set_defaults(text=text)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, verbs = _parsers()
+    # before any "--" the top-level parser may read "--=..." (and, in some
+    # Python versions, "-=...") as an ambiguous abbreviation of its own
+    # options and fail on it, so such a command line goes through it
+    head = argv[:argv.index("--")] if "--" in argv else argv
+    if argv and argv[0] in verbs and not any(a.startswith(("-=", "--=")) for a in head):
+        args, extras = verbs[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = parser.parse_args(argv)
     try:
         text = args.text(args)
     except FormatError as exc:

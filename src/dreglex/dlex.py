@@ -222,8 +222,8 @@ def dlex_from_hilbert(H: HilbertSpec, d: int) -> MonomialIdeal:
     gens = [m for new in lex_layers(ring, H.values[1:d]) for m in new]
     gens += dlinear_layer(verdict.witness_l, ring, lex_prefix_counts(ring, d - 1, H.value(d - 1)))
     J = MonomialIdeal._from_minimal(ring, gens)
-    for t in range(0, H.top + 1):
-        if J.hilbert(t) != H.value(t):
+    for t, (got, want) in enumerate(zip(J.hilbert_through(H.top), H.values)):
+        if got != want:
             raise AssertionError(f"constructed ideal misses H({t}); construction bug or inconsistent input")
     return J
 
@@ -255,8 +255,7 @@ def lexd(I: MonomialIdeal, d: int) -> MonomialIdeal:
     if d < 1:
         raise DomainError("d must be positive")
     n = I.ring.num_vars
-    values = tuple(I.hilbert(t) for t in range(d + n))
-    J = dlex_from_hilbert(HilbertSpec(n, values, "ideal"), d)
+    J = dlex_from_hilbert(HilbertSpec(n, I.hilbert_through(d + n - 1), "ideal"), d)
     if J.numerator() != I.numerator():
         raise DomainError(f"H is not the Hilbert function of a {d}-regular ideal: the only candidate leaves it past degree {d + n - 1}")
     return J
@@ -278,7 +277,7 @@ def regularity_range(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> dict[i
     a = regularity(I, cap)
     b = lexify(I).max_gen_degree
     n = I.ring.num_vars
-    values = tuple(I.hilbert(t) for t in range(b + n))
+    values = I.hilbert_through(b + n - 1)
     out: dict[int, MonomialIdeal] = {}
     for r in range(a, b + 1):
         witness = dlex_from_hilbert(HilbertSpec(n, values[:r + n], "ideal"), r)

@@ -7,12 +7,17 @@ N(z) / (1 - z)^q of k[x1..xq]/I_q, with I_q generated by the generators of I
 supported on x1..xq (for squarefree counts only the squarefree ones, since a
 divisor of a squarefree monomial is squarefree).  It is computed once per
 ideal and q by the pivot recursion N(S/I) = N(S/(I + (p))) + z^deg(p)
-N(S/(I : p)) (Bayer-Stillman 1992, Bigatti 1997), and ``MonomialIdeal.count``
-reads every count off it with exact binomial sums: the Hilbert function, the
-counts by max index of the degreewise Betti formulas and Lex(I, A), and the
-squarefree counts of SqLex.  It needs no enumeration and no cap.  The three
-stability classes (stable, strongly stable, squarefree strongly stable) share
-one move-closure check on the minimal generators, and both strong-stability
+N(S/(I : p)) (Bayer-Stillman 1992, Bigatti 1997).  It needs no enumeration
+and no cap, and it is read two ways.  Point reads, ``MonomialIdeal.count``,
+take exact binomial sums: one degree of the Hilbert function, the counts by
+max index of the degreewise Betti formulas and of Lex(I, A) (at heights up
+to 10^9, where no prefix could be built), and the squarefree counts of
+SqLex.  Prefix reads, ``MonomialIdeal.hilbert_through``, take H(0..T) at
+once by n running sums over the coefficients, O(n T) additions and no
+binomials: the Hilbert files of ``hilb``, ``lexd``, the regularity range
+and the check of every d-lexsegment built.  The three stability classes
+(stable, strongly stable, squarefree strongly stable) share one
+move-closure check on the minimal generators, and both strong-stability
 classes need only the adjacent moves x_q -> x_(q-1).  ``degree_slice``
 lists the members of one degree by testing every monomial of that degree, the
 reference the counts are checked against; no library path calls it.
@@ -46,7 +51,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import comb
-from operator import attrgetter, le, or_
+from operator import attrgetter, le, or_, sub
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DomainError, FormatError, RingMismatch
@@ -154,11 +159,13 @@ def _numerator(gens: list[tuple[int, ...]]) -> list[int]:
     out: list[int] = []
     shift = 0
     while gens:
-        counts = [sum(map(bool, column)) for column in zip(*gens)]
-        i = max(range(len(counts)), key=counts.__getitem__)
-        if counts[i] < 2:
+        columns = list(zip(*gens))
+        counts = [len(c) - c.count(0) for c in columns]
+        most = max(counts)
+        if most < 2:
             break
-        e = min(g[i] for g in gens if g[i])
+        i = counts.index(most)
+        e = min(filter(None, columns[i]))
         rest = [g for g in gens if not g[i]]
         lowered = [g[:i] + (g[i] - e,) + g[i + 1:] for g in gens if g[i]]
         _add_shifted(out, _times_one_minus(_numerator(rest), e), shift)
@@ -280,6 +287,19 @@ class MonomialIdeal:
     def hilbert_quotient(self, t: int) -> int:
         """dim of the degree-t component of the quotient ring."""
         return count_monomials(self.ring.num_vars, t) - self.hilbert(t)
+
+    def hilbert_through(self, top: int, quotient: bool = False) -> tuple[int, ...]:
+        """H(0), ..., H(top) of the ideal (of the quotient ring with
+        ``quotient``): the coefficients of (1 - N(z)) / (1 - z)^n (of
+        N(z) / (1 - z)^n) through z^top, by n running sums."""
+        if top < 0:
+            raise DomainError(f"negative degree {top}")
+        series = itertools.islice(itertools.chain(self.numerator(), itertools.repeat(0)), top + 1)
+        if not quotient:
+            series = map(sub, itertools.chain((1,), itertools.repeat(0)), series)
+        for _ in range(self.ring.num_vars):
+            series = itertools.accumulate(series)
+        return tuple(series)
 
     def count(self, t: int, num_vars: int | None = None, squarefree: bool = False) -> int:
         """The number of degree-t members of I (squarefree members with

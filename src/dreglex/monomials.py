@@ -281,7 +281,7 @@ _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 def parse_monomial(text: str, ring: GroundRing) -> Monomial:
     """Parse the bit-exact monomial syntax: ``x<i>`` factors joined by ``*``,
     ``^`` for exponents, ``1`` for the unit monomial.  Whitespace is ignored."""
-    stripped = re.sub(r"\s+", "", text)
+    stripped = "".join(text.split())
     if not stripped:
         raise FormatError("empty monomial")
     if stripped == "1":
@@ -291,8 +291,8 @@ def parse_monomial(text: str, ring: GroundRing) -> Monomial:
         m = _FACTOR_RE.match(factor)
         if not m:
             raise FormatError(f"bad monomial factor {factor!r} in {text!r}")
-        i = int(m.group(1))
-        e = int(m.group(2)) if m.group(2) else 1
+        i = int(m[1])
+        e = int(m[2]) if m[2] else 1
         if not 1 <= i <= ring.num_vars:
             raise FormatError(f"variable x{i} outside ring with {ring.num_vars} variables")
         if e < 1:

@@ -15,7 +15,7 @@ from typing import Iterable
 import pytest
 
 from dreglex.errors import DomainError, RingMismatch
-from dreglex.ideals import MonomialIdeal
+from dreglex.ideals import MonomialIdeal, _add_shifted, _times_one_minus
 from dreglex.macaulay import binom
 from dreglex.monomials import GroundRing, Monomial, lex_rank
 
@@ -176,6 +176,37 @@ def is_sq_strongly_stable_all_moves(I: MonomialIdeal) -> bool:
         for p in range(1, q)
         if not u.exponents[p - 1]
     )
+
+
+def numerator_by_pivot_key(gens: list[tuple[int, ...]], calls: list | None = None) -> list[int]:
+    """The pivot recursion of ``dreglex.ideals._numerator`` with its first
+    bookkeeping: each column counted by ``sum(map(bool, ...))``, the pivot
+    variable picked by ``max(range, key=...)`` (the first of highest count)
+    and its exponent by a generator scan.  Each call appends its generator
+    list to ``calls``, so the sequences of recursive calls, which follow the
+    pivots, can be compared as well as the numerators."""
+    if calls is not None:
+        calls.append(tuple(gens))
+    out: list[int] = []
+    shift = 0
+    while gens:
+        counts = [sum(map(bool, column)) for column in zip(*gens)]
+        i = max(range(len(counts)), key=counts.__getitem__)
+        if counts[i] < 2:
+            break
+        e = min(g[i] for g in gens if g[i])
+        rest = [g for g in gens if not g[i]]
+        lowered = [g[:i] + (g[i] - e,) + g[i + 1:] for g in gens if g[i]]
+        _add_shifted(out, _times_one_minus(numerator_by_pivot_key(rest, calls), e), shift)
+        shift += e
+        gens = lowered + [h for h in rest if not any(all(map(operator.le, r, h)) for r in lowered)]
+    base = [1]
+    for g in gens:
+        base = _times_one_minus(base, sum(g))
+    _add_shifted(out, base, shift)
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 # -- random generators ----------------------------------------------------------

@@ -3,13 +3,16 @@
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 
 import dreglex.cli
 import dreglex.dlex
+import dreglex.ideals
 from dreglex.betti import ek_betti
 from dreglex.cli import main
+from dreglex.errors import DregLexError, FormatError
 from dreglex.ideals import MonomialIdeal, parse_ideal
 from dreglex.monomials import GroundRing, parse_monomial
 from dreglex.macaulay import parse_hilbert
@@ -524,3 +527,117 @@ class TestParserReuse:
         run(capsys, "betti", "--method", "koszul", running)
         run(capsys, "betti", running)
         assert methods == ["koszul", "auto"]
+
+
+def full_parse_main(argv):
+    """``main`` reading every command line through the top-level parser,
+    which hands the arguments after a verb to that verb's sub-parser: the
+    reference the one-pass dispatch must match byte for byte."""
+    args = dreglex.cli.build_parser().parse_args(argv)
+    try:
+        text = args.text(args)
+    except FormatError as exc:
+        print(f"format error: {exc}", file=sys.stderr)
+        return 2
+    except DregLexError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    sys.stdout.write(text)
+    return 0
+
+
+def outcome(capsys, entry, argv):
+    try:
+        code = entry(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+SS5 = ["--gens", "x1^2,x1*x2,x1*x3,x2^2", "-n", "5"]
+# (argv, exit code); IDEAL, HILB and CX stand for input files
+PARITY = [
+    (["hilb", "-t", "3", "IDEAL"], 0),
+    (["hilb", "--through", "9", "--quotient", "--json", "IDEAL"], 0),
+    (["betti", "IDEAL"], 0),
+    (["lex", "IDEAL"], 0),
+    (["sqlex", "IDEAL"], 0),
+    (["dlex", "-d", "5", "IDEAL"], 0),
+    (["sqdlex", "-d", "3", "IDEAL"], 0),
+    (["phi", "--gens", "x1^2,x1*x2,x2^2", "-n", "2"], 0),
+    (["phi-inv", "--gens", "x1*x2,x1*x3", "-n", "3"], 0),
+    (["phi-tilde", "--gens", "x1^2,x1*x2", "-n", "3"], 0),
+    (["lseq", "--gens", "x1^2,x1*x2,x2^2", "-n", "3"], 0),
+    (["characterize", "-d", "3", "HILB"], 0),
+    (["reg-range", "IDEAL"], 0),
+    (["sq-reg-range", "IDEAL"], 0),
+    (["area", "check", "(1,3);(2,2)"], 0),
+    (["lexarea", *SS5, "--area", "(4,8)"], 0),
+    (["complex", "fvec", "CX"], 0),
+    *(([verb, "--help"], 0) for verb, *_ in dreglex.cli.VERBS),
+    (["--help"], 0),
+    (["--version"], 0),
+    ([], 2),
+    (["frobnicate", "IDEAL"], 2),
+    (["betti", "--bogus", "IDEAL"], 2),
+    (["betti", "IDEAL", "extra", "--cap", "5", "more"], 2),
+    (["betti", "--method", "bogus", "IDEAL"], 2),
+    (["hilb", "IDEAL"], 2),
+    (["hilb", "-t", "3", "--", "IDEAL"], 0),
+    (["hilb", "--=x", "IDEAL"], 2),
+    (["hilb", "-=x", "IDEAL"], 2),
+    (["hilb", "-t", "3", "IDEAL", "--version"], 2),
+    (["hilb", "--he"], 0),
+    (["hilb", "-t", "3", "--", "--=x"], 2),
+    (["lex", "missing.ideal"], 2),
+    (["dlex", "-d", "2", "IDEAL"], 1),
+]
+
+
+class TestDispatchParity:
+    """A command line starting with a verb is parsed by that verb's
+    sub-parser alone; every output byte, usage errors included, is that of
+    the full parse."""
+
+    @pytest.mark.parametrize("argv, code", PARITY, ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+    def test_same_bytes_as_full_parse(self, capsys, tmp_path, running, argv, code):
+        hilb, cx = tmp_path / "running.hilb", tmp_path / "path.cx"
+        hilb.write_text("n=4 role=ideal\n0\n0\n2\n8\n20\n40\n70\n112\n168\n")
+        cx.write_text("vertices=3\n1,2\n2,3\n")
+        files = {"IDEAL": running, "HILB": str(hilb), "CX": str(cx)}
+        argv = [files.get(a, a) for a in argv]
+        got = outcome(capsys, main, argv)
+        assert got == outcome(capsys, full_parse_main, argv)
+        assert got[0] == code, got
+
+    def test_verb_leftovers_reported_by_the_top_level_parser(self, capsys, running):
+        _, out, err = outcome(capsys, main, ["betti", "--bogus", running])
+        assert out == ""
+        assert err.endswith("\ndreglex: error: unrecognized arguments: --bogus\n")
+
+
+class TestHilbertFileWork:
+    def test_through_reads_one_numerator_and_no_point_sums(self, capsys, monkeypatch):
+        """``hilb --through`` reads H(0..T) off one numerator by running sums:
+        one pivot recursion, and no binomial sum per degree."""
+        ideals = dreglex.ideals
+        depths, sums, depth = [], [], [0]
+        real_numerator, real_sum = ideals._numerator, ideals.series_coefficient
+
+        def numerator(gens):
+            depths.append(depth[0])
+            depth[0] += 1
+            try:
+                return real_numerator(gens)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(ideals, "_numerator", numerator)
+        monkeypatch.setattr(ideals, "series_coefficient", lambda *a: sums.append(a) or real_sum(*a))
+        edges = "12 13 14 23 25 36 45 47 56 58 69 78 89".split()
+        gens = ",".join(f"x{a}*x{b}" for a, b in edges)
+        code, out, _ = run(capsys, "hilb", "--through", "12", "--gens", gens, "-n", "9")
+        assert code == 0 and len(out.splitlines()) == 14
+        assert depths.count(0) == 1 and len(depths) > 1
+        assert sums == []

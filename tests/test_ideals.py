@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import dreglex.ideals
 from dreglex.betti import ek_betti
 from dreglex.errors import DomainError, FormatError
 from dreglex.ideals import (
@@ -26,6 +27,7 @@ from tests.conftest import (
     faces,
     is_lexsegment_set,
     is_sq_strongly_stable_all_moves,
+    numerator_by_pivot_key,
     random_monomial,
     random_monomial_ideal,
     random_sq_strongly_stable_ideal,
@@ -242,6 +244,48 @@ class TestHilbert:
     def test_quotient(self):
         I = ideal(R4, "x1*x2", "x3*x4")
         assert I.hilbert_quotient(2) == 10 - 2
+
+    def test_prefix_reads_equal_point_reads(self):
+        """H(0..T) by running sums over the numerator equals the binomial
+        sum of each degree, for the ideal and for the quotient."""
+        rng = random.Random(53)
+        ideals = [MonomialIdeal.zero(R4), ideal(R4, "1"), MonomialIdeal.zero(GroundRing(1)), ideal(R2, "x1^3", "x2^2")]
+        ideals += [random_monomial_ideal(rng, rng.randint(1, 6), 5, count=rng.randint(1, 6)) for _ in range(80)]
+        for I in ideals:
+            assert I.hilbert_through(40) == tuple(I.hilbert(t) for t in range(41)), I
+            assert I.hilbert_through(40, quotient=True) == tuple(I.hilbert_quotient(t) for t in range(41)), I
+            assert I.hilbert_through(0) == (I.hilbert(0),)
+        with pytest.raises(DomainError, match="negative degree -1"):
+            ideals[-1].hilbert_through(-1)
+
+    def test_pivot_steps_match_the_first_bookkeeping(self, monkeypatch):
+        """The pivot step counts columns and picks the pivot more cheaply
+        than the reference does, but takes the same pivots: the same
+        recursive calls in the same order, and the same numerator."""
+        calls = []
+        real = dreglex.ideals._numerator
+        monkeypatch.setattr(dreglex.ideals, "_numerator", lambda gens: calls.append(tuple(gens)) or real(gens))
+        cases = [
+            [(0, 0, 0)],  # the unit generator
+            [(0, 1, 0)],  # a lone variable
+            [(1, 1, 0, 0), (0, 0, 1, 1), (1, 0, 1, 0), (0, 1, 0, 1)],  # every count 2
+            [(0, 2, 1), (1, 1, 0), (1, 0, 2), (0, 1, 1)],  # x2 and x3 tie behind x1's 2
+            [(10**6, 0)],
+        ]
+        rng = random.Random(59)
+        for _ in range(2000):
+            n = rng.randint(1, 8)
+            gens = [Monomial(tuple(rng.choice((0, 0, 1, 2, 3, 4)) for _ in range(n))) for _ in range(rng.randint(1, 8))]
+            cases.append([g.exponents for g in MonomialIdeal(GroundRing(n), gens).gens])
+        ties = 0
+        for gens in cases:
+            calls.clear()
+            reference_calls = []
+            assert dreglex.ideals._numerator(list(gens)) == numerator_by_pivot_key(list(gens), reference_calls), gens
+            assert calls == reference_calls, gens
+            counts = [sum(map(bool, column)) for column in zip(*gens)]
+            ties += counts.count(max(counts)) > 1 and max(counts) > 1
+        assert len(cases) >= 2000 and ties >= 200
 
     def test_degree_slice_sizes(self):
         I = ideal(R4, "x1*x2", "x3*x4")

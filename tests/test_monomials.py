@@ -3,6 +3,8 @@
 import copy
 import pickle
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -117,6 +119,28 @@ class TestMonomialBasics:
             parse_monomial("x5", R4)
         with pytest.raises(FormatError):
             parse_monomial("", R4)
+
+    def test_parse_unicode_whitespace(self):
+        """Whitespace inside a monomial is every character the regular
+        expression \\s matches, str.isspace's set: tabs, line ends, NBSP and
+        U+2003 are dropped, a zero-width space is not.  Messages quote the
+        factor without it and the text as given."""
+        spaces = re.findall(r"\s", "".join(map(chr, range(sys.maxunicode + 1))))
+        assert {"\t", "\r", "\n", "\xa0", "\u2003"} <= set(spaces) and len(spaces) == 29
+        for c in spaces:
+            assert parse_monomial(f"{c}x1{c}^{c}2*x3{c}", R4) == parse_monomial("x1^2*x3", R4)
+        assert parse_monomial("x1^2\t*\u2003x3\r\n", R4) == parse_monomial("x1^2*x3", R4)
+        cases = [
+            ("x1\t*y2", "bad monomial factor 'y2' in 'x1\\t*y2'"),
+            ("x1*x\u200b2", "bad monomial factor 'x\\u200b2' in 'x1*x\\u200b2'"),
+            ("x1\xa0*x5\r\n", "variable x5 outside ring with 4 variables"),
+            ("x1^\u20030", "exponent must be positive in 'x1^0'"),
+            (" \t\r\n\xa0", "empty monomial"),
+        ]
+        for text, message in cases:
+            with pytest.raises(FormatError) as exc:
+                parse_monomial(text, R4)
+            assert str(exc.value) == message
 
     def test_immutable(self):
         m = parse_monomial("x1^2*x3", R3)
