@@ -63,6 +63,7 @@ from .monomials import (
     enumerate_degree,
     format_monomial,
     lex_prefix,
+    parse_decimal,
     parse_monomial,
     phi,
 )
@@ -501,7 +502,7 @@ def parse_ideal(text: str) -> MonomialIdeal:
     if not header.startswith("n="):
         raise FormatError(f"bad ideal header {header!r}")
     try:
-        n = int(header[2:])
+        n = parse_decimal(header[2:])
     except ValueError as exc:
         raise FormatError(f"bad ideal header {header!r}") from exc
     try:

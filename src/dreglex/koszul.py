@@ -58,25 +58,40 @@ neither divides the other), a = lcm(g, h) leaves every position tight for g
 or for h, so their slack masks are disjoint and non-empty and K^a is two
 disjoint simplices: beta_2 = 1.
 
-Two more kinds of block are settled from their slack masks before any face
-is built.  At a cone point one divisor is slack at every support position,
-so x^(a - 1_supp) lies in I, every face is non-standard and the block is
-zero.  Otherwise K^a is the union of the simplices on the distinct slack
-masks, and any intersection of them is a simplex or empty, so K^a has the
+Two more kinds of block are settled from their slack masks.  At a cone
+point one divisor is slack at every support position, so x^(a - 1_supp)
+lies in I, every face is non-standard and the block is zero.  Otherwise
+K^a is the union of the simplices on its facets, the maximal slack masks,
+and any intersection of them is a simplex or empty, so K^a has the
 homology of their nerve (Bjorner, Topological methods, Handbook of
 Combinatorics, 1995, Thm 10.6), with beta_i(S/I) at a equal to
-H~_{i-2}(K^a).  Two or more minimal divisors leave no mask empty, as only
-a itself is tight everywhere.  For three masks the nerve is a full triangle
-(zero) when all three meet, and otherwise the graph of the e pairs that
-meet: three points, an edge and a point, a path or a circle for
-e = 0, 1, 2, 3, giving {2: 2}, {2: 1}, zero and {3: 1}.
+H~_{i-2}(K^a).  The same holds for any cover by simplices, so a family of
+at most three distinct masks is answered before the down-closure, and
+any other family once the down-closure shows at most three facets: the
+masks F with no F + pos non-standard.  Two or more minimal divisors leave
+no mask empty, as only a itself is tight everywhere; an empty mask covers
+no point of K^a and is no vertex of a nerve.  One facet is a simplex
+(zero); two are an edge (zero) when they meet and two points ({2: 1})
+when not.  For three the nerve is a full triangle (zero) when all three
+meet, and otherwise the graph of the e pairs that meet: three points, an
+edge and a point, a path or a circle for e = 0, 1, 2, 3, giving {2: 2},
+{2: 1}, zero and {3: 1}.
+
+The critical faces C of the one-vertex matching are matched once more
+before any basis is built: for a support position w, pair each F in C
+without w with F + w when that is in C too.  A gradient path from F + w
+steps down to faces F + w - u in C, which contain w and so are never
+matched upward; the matching is acyclic, and the faces it leaves unpaired
+carry a Morse complex with C's homology.  When that complex is empty or
+of one homological index it has no differential, and the block is its
+face count.  The first w that settles C answers; a C that no w settles is
+ranked.
 
 The other blocks repeat themselves, so one oracle call remembers two
 things: the answer of each (support size, slack-mask family), looked up
 before the down-closure, the matching and the ranks, and the homology of
 each (support size, critical faces), so that two families with the same
-critical faces still rank once.  A face set of one size has no
-differential, and its homology is its face count.
+critical faces still rank once.
 """
 
 from __future__ import annotations
@@ -159,11 +174,7 @@ def _strand_homology(s: int, faces: int) -> dict[int, int]:
     """Homology dimensions {i: dim} of the chain complex on the face bitset
     `faces` over an s-element support, index |F|, with d(e_F) the signed
     faces F - pos that lie in `faces`.  Asserts kernel >= image per index."""
-    _, _, by_size = _face_tables(s)
-    i = ((faces & -faces).bit_length() - 1).bit_count()  # the lowest face's size
-    if faces and not faces & ~by_size[i]:  # one size: no differential to rank
-        return {i: faces.bit_count()}
-    bases: list[list[int]] = [[] for _ in by_size]
+    bases: list[list[int]] = [[] for _ in range(s + 1)]
     index = {}
     bits = faces
     while bits:
@@ -203,13 +214,14 @@ def _block_betti(divisors: int, below: list[int], memo: dict[tuple[int, int], di
     position k of a in order, the generators with g_k < a_k (`below`).
 
     Returns {i: beta_{i,|a|}(S/I) contribution}.  A cone point and a family
-    of three slack masks are answered from the masks; any other block is
-    computed on the critical faces of the one-vertex matching with the
-    fewest of them (the lowest position on ties); with an empty support the
-    block keeps its faces.  `memo` maps (s, faces) to homology already
-    computed in this oracle call, and (s, ~family) to a family's answer:
-    face sets are non-negative and complemented families negative, so the
-    two kinds of key never meet.
+    of at most three slack masks are answered from the masks, and a family
+    with at most three facets from its facets; any other block is computed
+    on the critical faces of the one-vertex matching with the fewest of
+    them (the lowest position on ties), matched once more before any rank;
+    with an empty support the block keeps its faces.  `memo` maps
+    (s, faces) to homology already computed in this oracle call, and
+    (s, ~family) to a family's answer: face sets are non-negative and
+    complemented families negative, so the two kinds of key never meet.
     """
     s = len(below)
     # a divisor slack at every position makes every face non-standard
@@ -241,28 +253,66 @@ def _block_betti(divisors: int, below: list[int], memo: dict[tuple[int, int], di
     return memo[key]
 
 
+def _nerve_betti(cover: int) -> dict[int, int]:
+    """The block whose K^a is the union of the simplices on one to three
+    non-empty masks (bit m of `cover` for mask m): the homology of their
+    nerve (module docstring).  Two masks are an edge or two points, and
+    three a full triangle when all meet, else the graph of the e pairs that
+    meet: three points, an edge and a point, a path or a circle."""
+    masks = []
+    while cover:
+        masks.append(cover.bit_length() - 1)
+        cover ^= 1 << masks[-1]
+    if len(masks) < 3:
+        return {2: 1} if len(masks) == 2 and not masks[0] & masks[1] else {}
+    a, b, c = masks
+    if a & b & c:
+        return {}
+    edges = bool(a & b) + bool(a & c) + bool(b & c)
+    return ({2: 2}, {2: 1}, {}, {3: 1})[edges]
+
+
 def _family_betti(s: int, family: int, memo: dict[tuple[int, int], dict[int, int]]) -> dict[int, int]:
     """``_block_betti`` from the bitset `family` of the distinct slack masks
     (bit m for mask m) over an s-element support, none of them full."""
-    if family.bit_count() == 3 and not family & 1:
-        # three non-empty masks: K^a has the homology of the nerve of their
-        # simplices (module docstring); an empty mask covers no point of K^a
-        a = family.bit_length() - 1
-        b = (family ^ 1 << a).bit_length() - 1
-        c = (family ^ 1 << a ^ 1 << b).bit_length() - 1
-        if a & b & c:
-            return {}
-        edges = bool(a & b) + bool(a & c) + bool(b & c)
-        return ({2: 2}, {2: 1}, {}, {3: 1})[edges]
+    # an empty mask covers no point of K^a, so it is no vertex of a nerve
+    nerve = family and not family & 1
+    if nerve and family.bit_count() <= 3:
+        return _nerve_betti(family)
     full, has, _ = _face_tables(s)
     ns = _down_closure(family, has)
+    if nerve:
+        # the facets of K^a: the masks in no larger non-standard face
+        covered = 0
+        for pos, h in enumerate(has):
+            covered |= (ns & h) >> (1 << pos)
+        facets = family & ~covered
+        if facets.bit_count() <= 3:
+            return _nerve_betti(facets)
     std = full & ~ns
     faces = min(_critical_faces(std, ns, has), key=int.bit_count) if s else std
     if not faces:
         return {}
     if (s, faces) not in memo:
-        memo[s, faces] = _strand_homology(s, faces)
+        settled = _second_matching(s, faces)
+        memo[s, faces] = _strand_homology(s, faces) if settled is None else settled
     return memo[s, faces]
+
+
+def _second_matching(s: int, faces: int) -> dict[int, int] | None:
+    """The homology of the critical face set `faces` when, for some support
+    position w, the faces left unpaired by matching F with F + w (both in
+    `faces`) are none or all of one size; otherwise None."""
+    _, has, by_size = _face_tables(s)
+    for w, h in enumerate(has):
+        low = faces & ~h & (faces & h) >> (1 << w)
+        crit = faces & ~(low | low << (1 << w))
+        if not crit:
+            return {}
+        i = ((crit & -crit).bit_length() - 1).bit_count()  # the lowest face's size
+        if not crit & ~by_size[i]:
+            return {i: crit.bit_count()}
+    return None
 
 
 def _lattice_betti(divisors: int, below: list[int], memo: dict[tuple[int, int], dict[int, int]]) -> dict[int, int]:

@@ -13,7 +13,7 @@ from math import comb
 from typing import Sequence
 
 from .errors import DomainError, FormatError
-from .monomials import binomial_expansion, count_monomials
+from .monomials import binomial_expansion, count_monomials, parse_decimal
 
 
 def binom(a: int, b: int) -> int:
@@ -151,8 +151,8 @@ def parse_hilbert(text: str) -> HilbertSpec:
     if len(fields) != 2 or set(header) != {"n", "role"}:
         raise FormatError(f"bad Hilbert header {lines[0]!r}: need exactly the fields n=<int> and role=<ideal|quotient>")
     try:
-        n = int(header["n"])
-        values = tuple(int(ln) for ln in lines[1:])
+        n = parse_decimal(header["n"])
+        values = tuple(map(parse_decimal, lines[1:]))
     except ValueError as exc:
         raise FormatError(f"bad integer in Hilbert specification: {exc}") from exc
     try:

@@ -275,6 +275,16 @@ def phi_inv(v: Monomial, target_vars: int | None = None) -> Monomial:
     return Monomial(tuple(e))
 
 
+def parse_decimal(text: str) -> int:
+    """The integer written by `text` in ASCII decimal digits alone; raises
+    ValueError, as ``int`` does, on anything else, including the signs,
+    underscores, surrounding whitespace and non-ASCII digits that ``int``
+    accepts."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 _FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 
 

@@ -24,7 +24,7 @@ from .errors import DomainError, FormatError
 from .ideals import MonomialIdeal, sq_lex_layers, squarefree_counts
 from .koszul import DEFAULT_LATTICE_CAP
 from .macaulay import binom
-from .monomials import GroundRing, Monomial, lex_prefix_counts, phi, phi_inv
+from .monomials import GroundRing, Monomial, lex_prefix_counts, parse_decimal, phi, phi_inv
 
 # -- the squarefree operation (phi and phi_inv on monomials: ``monomials``) ---
 
@@ -330,7 +330,7 @@ def parse_complex(text: str) -> SimplicialComplex:
     if not header.startswith("vertices="):
         raise FormatError(f"bad complex header {header!r}")
     try:
-        n = int(header[len("vertices="):])
+        n = parse_decimal(header[len("vertices="):])
     except ValueError as exc:
         raise FormatError(f"bad complex header {header!r}") from exc
     facets = []
@@ -339,7 +339,7 @@ def parse_complex(text: str) -> SimplicialComplex:
             facets.append(frozenset())
             continue
         try:
-            facets.append(frozenset(int(tok) for tok in ln.split(",")))
+            facets.append(frozenset(map(parse_decimal, ln.split(","))))
         except ValueError as exc:
             raise FormatError(f"bad facet line {ln!r}") from exc
     try:

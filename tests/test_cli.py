@@ -450,6 +450,45 @@ class TestComplexVerbs:
         assert "required: input" in capsys.readouterr().err
 
 
+# spellings that int() reads as integers but the file formats do not: an
+# underscore, a sign, Arabic-Indic and fullwidth digits; a space counts too
+# where the line's own stripping leaves it inside
+NOT_DECIMAL = ["1_0", "+3", "\u0663", "\uff13"]
+
+
+class TestStrictIntegers:
+    @pytest.mark.parametrize("n", NOT_DECIMAL + [" 3"])
+    def test_ideal_header(self, capsys, tmp_path, n):
+        path = tmp_path / "bad.ideal"
+        path.write_text(f"n={n}\nx1\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="bad ideal header"):
+            parse_ideal(path.read_text(encoding="utf-8"))
+        code, out, err = run(capsys, "hilb", "-t", "2", str(path))
+        assert (code, out) == (2, "") and err.startswith("format error: bad ideal header")
+
+    @pytest.mark.parametrize("value", NOT_DECIMAL)
+    def test_hilbert_values_and_header(self, capsys, tmp_path, value):
+        # 1_0 read as 10 made this specification inadmissible (exit 1)
+        for text in (f"n=2 role=ideal\n0\n{value}\n", f"n={value} role=ideal\n0\n1\n"):
+            path = tmp_path / "bad.hilb"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(FormatError, match="bad (integer|Hilbert header)"):
+                parse_hilbert(text)
+            code, out, err = run(capsys, "characterize", "-d", "2", str(path))
+            assert (code, out) == (2, "") and err.startswith("format error: bad"), text
+
+    @pytest.mark.parametrize("value", NOT_DECIMAL + [" 3"])
+    def test_complex_header_and_facets(self, capsys, tmp_path, value):
+        for text, match in ((f"vertices={value}\n1,2\n", "bad complex header"),
+                            (f"vertices=3\n1,{value}\n", "bad facet line")):
+            path = tmp_path / "bad.cx"
+            path.write_text(text, encoding="utf-8")
+            with pytest.raises(FormatError, match=match):
+                parse_complex(text)
+            code, out, err = run(capsys, "complex", "fvec", str(path))
+            assert (code, out) == (2, "") and err.startswith(f"format error: {match}"), text
+
+
 class TestCapFlag:
     """--cap is accepted exactly by the verbs that read it: it bounds the
     Koszul oracle's lcm lattice, and nothing else enumerates under a cap.

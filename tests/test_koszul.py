@@ -23,6 +23,7 @@ from dreglex.koszul import (
     _lattice_betti,
     _lattice_points,
     _lcm_lattice,
+    _second_matching,
     _strand_homology,
     exact_rank,
     koszul_betti,
@@ -33,6 +34,7 @@ from tests.conftest import (
     random_monomial,
     random_monomial_ideal,
     random_sq_strongly_stable_ideal,
+    random_squarefree_monomial,
     random_strongly_stable_ideal,
 )
 
@@ -507,6 +509,74 @@ class TestBlockBitsets:
         top = {(i, j): v for (i, j), v in koszul_betti(I).entries.items() if j == n}
         assert top == {(i - 1, n): v for i, v in expected.items()}
 
+    def test_facet_nerve_matches_slack_scan(self, monkeypatch):
+        """Lattice points with more than three distinct slack masks but at
+        most three facets (maximal masks), no empty mask and no cone: the
+        block is read off the nerve of the facets before any critical face
+        is taken, and agrees with the slack scan.  Half the ideals are
+        x_(n+1) * J, whose last position is tight at every point, so the
+        cone points of J become points with one facet."""
+        reached = []
+
+        def recording(std, ns, has):
+            reached.append(std)
+            return _critical_faces(std, ns, has)
+
+        monkeypatch.setattr(dreglex.koszul, "_critical_faces", recording)
+        rng = random.Random(139)
+        seen = collections.Counter()
+        for _ in range(600):
+            n = rng.randint(3, 7)
+            I = random_monomial_ideal(rng, n, 5, count=rng.randint(5, 10))
+            if I.is_unit:
+                continue
+            gens = tuple(g.exponents for g in I.gens)
+            if rng.random() < 0.5:
+                gens, n = tuple(g + (1,) for g in gens), n + 1
+            for a, (divisors, below, _) in walk(gens, sorted(decode(*_lcm_lattice(gens, 10**4), n))):
+                masks = set(slack_masks(gens, a))
+                facets = [m for m in masks if not any(m != o and not m & ~o for o in masks)]
+                if len(masks) <= 3 or len(facets) > 3 or 0 in masks or (1 << len(below)) - 1 in masks:
+                    continue
+                before = len(reached)
+                assert _block_betti(divisors, below, {}) == slack_scan_block_betti(gens, a), (gens, a)
+                assert len(reached) == before, (gens, a)
+                seen[len(facets)] += 1
+        assert sum(seen.values()) >= 200 and min(seen[k] for k in (1, 2, 3)) >= 15, seen
+
+    def test_second_matching_matches_strand_homology(self, monkeypatch):
+        """Every critical face set that koszul_betti meets over seeded random
+        ideals, n <= 8, half of them squarefree with mostly quadrics: where
+        the second single-vertex matching settles a set, its answer equals
+        the ranked homology of the whole set.  Sets settled as zero, settled
+        in one index and left to the ranks all occur."""
+        met = []
+
+        def recording(s, faces):
+            met.append((s, faces))
+            return _second_matching(s, faces)
+
+        monkeypatch.setattr(dreglex.koszul, "_second_matching", recording)
+        rng = random.Random(151)
+        for _ in range(60):
+            n = rng.randint(4, 8)
+            if rng.random() < 0.5:
+                I = random_monomial_ideal(rng, n, 3, count=rng.randint(6, 12))
+            else:
+                I = MonomialIdeal(GroundRing(n), [random_squarefree_monomial(rng, n, rng.choice((2, 2, 3)))
+                                                  for _ in range(rng.randint(n, 2 * n))])
+            if not I.is_unit:
+                koszul_betti(I)
+        outcomes = collections.Counter()
+        for s, faces in met:
+            settled = _second_matching(s, faces)
+            if settled is None:
+                outcomes["ranked"] += 1
+            else:
+                assert settled == _strand_homology(s, faces), (s, faces)
+                outcomes["one index" if settled else "zero"] += 1
+        assert min(outcomes[k] for k in ("zero", "one index", "ranked")) >= 15, outcomes
+
     def test_empty_slack_mask_is_no_nerve_vertex(self):
         """A divisor equal to x^a has the empty slack mask, which covers no
         point of K^a.  With the non-minimal divisors x1*x2*x3, x1 and x2*x3,
@@ -659,20 +729,22 @@ class TestWorkPinned:
     """The exact_rank calls and matrix cells of two oracle runs, recorded from
     the one-vertex matching that ranks only the critical faces, with each
     distinct critical face set ranked once per oracle call; the points with
-    one or two divisors, the cone points and the blocks with three slack
-    masks are answered without ranks, and a repeated slack-mask family is
-    answered from the memo.  The lcm lattice
-    sizes are pinned too, so the same blocks are visited; ranking every
-    standard face took all_faces, and each pair must stay strictly below that.
-    exact_rank is patched through its module global, the name the bench
-    tracer wraps."""
+    one or two divisors, the cone points and the blocks with at most three
+    slack masks or facets are answered without ranks, a repeated slack-mask
+    family is answered from the memo, and a critical face set that a second
+    single-vertex matching leaves empty or of one size is counted.  Before
+    the facets and the second matching the same runs read 41/296 and 8/12.
+    The lcm lattice sizes are pinned too, so the same blocks are visited;
+    ranking every standard face took all_faces, and each pair must stay
+    strictly below that.  exact_rank is patched through its module global,
+    the name the bench tracer wraps."""
 
     @pytest.mark.parametrize(
         "n, gens, lattice, calls, cells, all_faces",
         [
-            (8, [f"x{i}*x{i % 8 + 1}" for i in range(1, 9)], 90, 41, 296, (236, 6848)),
+            (8, [f"x{i}*x{i % 8 + 1}" for i in range(1, 9)], 90, 15, 204, (236, 6848)),
             (5, ["x1^3", "x1^2*x2", "x1*x2*x3", "x2^2*x4", "x1*x3*x5", "x2*x3^2",
-                 "x3*x4*x5", "x1*x4^2", "x2*x5^2", "x4^3", "x3^2*x5", "x1*x2*x5"], 224, 8, 12, (202, 1102)),
+                 "x3*x4*x5", "x1*x4^2", "x2*x5^2", "x4^3", "x3^2*x5", "x1*x2*x5"], 224, 0, 0, (202, 1102)),
         ],
         ids=["8-cycle", "one-degree-n5-d3"],
     )
