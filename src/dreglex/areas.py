@@ -125,7 +125,7 @@ def parse_area(text: str) -> ExtremalArea:
         raise FormatError("empty area")
     pts = []
     for part in stripped.split(";"):
-        m = re.fullmatch(r"\((\d+),(\d+)\)", part)
+        m = re.fullmatch(r"\(([0-9]+),([0-9]+)\)", part)
         if not m:
             raise FormatError(f"bad area corner {part!r}")
         pts.append((int(m.group(1)), int(m.group(2))))

@@ -1,8 +1,8 @@
 """Batch command-line front end.
 
 One table, ``VERBS``, defines the command line: each row holds a verb's name,
-its help, its arguments (the shared groups -- ideal input, ``--cap``, ``-d``
-and ``--json`` -- are defined once) and one function from the parsed
+its help, its arguments (the shared groups -- ideal input, ``-d`` and
+``--json`` -- are defined once) and one function from the parsed
 arguments to the deterministic, bit-exact text to print.  Those functions
 look library functions up by name when the verb runs, so rebinding a module
 global reaches them.  ``main`` alone writes to stdout and turns errors into
@@ -30,9 +30,9 @@ from .betti import BettiDiagram, ahh_betti, degreewise_diagram, ek_betti
 from .dlex import betti_auto, characterize, l_sequence, lexd, regularity_range
 from .errors import DomainError, DregLexError, FormatError
 from .ideals import MonomialIdeal, format_ideal, lexify, parse_ideal, sq_lexify
-from .koszul import DEFAULT_LATTICE_CAP, koszul_betti
+from .koszul import koszul_betti
 from .macaulay import HilbertSpec, format_hilbert, parse_hilbert
-from .monomials import GroundRing, format_monomial, parse_monomial
+from .monomials import GroundRing, format_monomial, parse_decimal, parse_monomial
 from .squarefree import (
     alexander_dual,
     eagon_reiner_cm,
@@ -120,14 +120,14 @@ def _hilb_text(args) -> str:
     return format_hilbert(HilbertSpec(I.ring.num_vars, values, role))
 
 
-# --method -> (ideal, cap) -> Betti diagram; the names resolve when a verb runs
+# --method -> ideal -> Betti diagram; the names resolve when a verb runs
 BETTI_METHODS = {
-    "auto": lambda I, cap: betti_auto(I, cap),
-    "ek": lambda I, cap: ek_betti(I),
-    "ahh": lambda I, cap: ahh_betti(I),
-    "degreewise": lambda I, cap: degreewise_diagram(I, squarefree=False),
-    "sq-degreewise": lambda I, cap: degreewise_diagram(I, squarefree=True),
-    "koszul": lambda I, cap: koszul_betti(I, cap=cap),
+    "auto": lambda I: betti_auto(I),
+    "ek": lambda I: ek_betti(I),
+    "ahh": lambda I: ahh_betti(I),
+    "degreewise": lambda I: degreewise_diagram(I, squarefree=False),
+    "sq-degreewise": lambda I: degreewise_diagram(I, squarefree=True),
+    "koszul": lambda I: koszul_betti(I),
 }
 
 
@@ -166,7 +166,7 @@ def _complex_text(args) -> str:
     if args.action == "sr":
         return _ideal_text(stanley_reisner(complex_), args)
     if args.action == "cm":
-        verdict = eagon_reiner_cm(complex_, args.cap)
+        verdict = eagon_reiner_cm(complex_)
         return _lines(json.dumps({"cohen_macaulay": verdict}) if args.json else ("true" if verdict else "false"))
     dual = alexander_dual(complex_)
     if args.json:
@@ -174,16 +174,14 @@ def _complex_text(args) -> str:
     return format_complex(dual)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of --cap: a malformed or non-positive cap is a usage
-    error (exit 2), not a cap that every question exceeds."""
+def _integer(text: str) -> int:
+    """argparse type of the integer options: ASCII decimal digits after an
+    optional '-', as ``parse_decimal`` reads them; anything else, a '+',
+    an underscore, a space or a non-ASCII digit, is a usage error (exit 2)."""
     try:
-        value = int(text)
+        return -parse_decimal(text[1:]) if text.startswith("-") else parse_decimal(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
-    return value
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}") from None
 
 
 def _arg(*flags, **kwargs):
@@ -194,11 +192,9 @@ JSON = _arg("--json", action="store_true", help="structured output")
 IDEAL = (
     _arg("input", nargs="?", help="input file"),
     _arg("--gens", help="inline comma-separated generators (with -n)"),
-    _arg("-n", "--num-vars", type=int, help="ring size for --gens"),
+    _arg("-n", "--num-vars", type=_integer, help="ring size for --gens"),
 )
-CAP = _arg("--cap", type=_positive_int, default=DEFAULT_LATTICE_CAP,
-           help="cap on each component's lcm lattice in the Koszul oracle, in multidegrees (default 10^6)")
-D = _arg("-d", type=int, required=True)
+D = _arg("-d", type=_integer, required=True)
 AREA_HELP = 'corner list "(i,j);(i,j);..."'
 
 # (verb, add_parser keywords, arguments, parsed arguments -> text); a list in
@@ -206,17 +202,17 @@ AREA_HELP = 'corner list "(i,j);(i,j);..."'
 VERBS = (
     ("hilb", {"help": "Hilbert function values"}, [
         JSON, *IDEAL,
-        [_arg("-t", "--degree", type=int, help="single degree"),
-         _arg("--through", type=int, help="emit H(0..T) in the Hilbert file format")],
+        [_arg("-t", "--degree", type=_integer, help="single degree"),
+         _arg("--through", type=_integer, help="emit H(0..T) in the Hilbert file format")],
         _arg("--quotient", action="store_true", help="count the quotient ring instead of the ideal"),
     ], _hilb_text),
     ("betti", {"help": "graded Betti diagram"}, [
-        CAP, JSON, *IDEAL,
+        JSON, *IDEAL,
         _arg("--method", choices=list(BETTI_METHODS), default="auto",
              help="ek/ahh: generator-sum closed forms; degreewise/sq-degreewise: max-index count formulas; "
              "koszul: the exact oracle; auto picks the cheapest valid closed form else the oracle"),
         _arg("--triples", action="store_true", help="one (i, j, value) per line"),
-    ], lambda a: _diagram_text(BETTI_METHODS[a.method](_load_ideal(a), a.cap), a)),
+    ], lambda a: _diagram_text(BETTI_METHODS[a.method](_load_ideal(a)), a)),
     ("lex", {"help": "the lexsegment ideal with the same Hilbert function"}, [JSON, *IDEAL],
      lambda a: _ideal_text(lexify(_load_ideal(a)), a)),
     ("sqlex", {"help": "the squarefree lexsegment ideal with the same Hilbert function"}, [JSON, *IDEAL],
@@ -246,7 +242,7 @@ VERBS = (
         "lexification's.  The range starts at the minimum only when the input "
         "realizes it; a non-minimal representative yields the tail subset.  The "
         "lexification's end and every witness are read from the Hilbert function.",
-    }, [CAP, JSON, *IDEAL], lambda a: _range_text(regularity_range(_load_ideal(a), a.cap), a)),
+    }, [JSON, *IDEAL], lambda a: _range_text(regularity_range(_load_ideal(a)), a)),
     ("sq-reg-range", {
         "help": "squarefree analogue of reg-range",
         "description": "Witnesses of every regularity that a squarefree ideal with the input's Hilbert "
@@ -260,7 +256,7 @@ VERBS = (
         JSON, *IDEAL, _arg("--area", required=True, help=AREA_HELP),
     ], lambda a: _ideal_text(lex_i_a(_load_ideal(a), parse_area(a.area)), a)),
     ("complex", {"help": "simplicial-complex utilities"}, [
-        _arg("action", choices=["fvec", "hvec", "dual", "sr", "cm"]), _arg("input", help="complex file"), CAP, JSON,
+        _arg("action", choices=["fvec", "hvec", "dual", "sr", "cm"]), _arg("input", help="complex file"), JSON,
     ], _complex_text),
 )
 

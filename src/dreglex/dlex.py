@@ -13,7 +13,7 @@ from typing import Iterable
 from .betti import BettiDiagram, ahh_betti, ek_betti
 from .errors import DomainError
 from .ideals import MonomialIdeal, lex_layers, lexify
-from .koszul import DEFAULT_LATTICE_CAP, koszul_betti
+from .koszul import koszul_betti
 from .macaulay import HilbertSpec, binom, is_m_vector, up
 from .monomials import GroundRing, Monomial, lex_prefix, lex_prefix_counts
 
@@ -228,19 +228,19 @@ def dlex_from_hilbert(H: HilbertSpec, d: int) -> MonomialIdeal:
     return J
 
 
-def regularity(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> int:
+def regularity(I: MonomialIdeal) -> int:
     """Castelnuovo-Mumford regularity via the cheapest valid Betti backend."""
-    return betti_auto(I, cap).regularity()
+    return betti_auto(I).regularity()
 
 
-def betti_auto(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> BettiDiagram:
+def betti_auto(I: MonomialIdeal) -> BettiDiagram:
     """EK for stable ideals, the squarefree generator formula for squarefree
     strongly stable ideals, otherwise the exact Koszul oracle."""
     if I.is_stable():
         return ek_betti(I)
     if I.is_squarefree_strongly_stable():
         return ahh_betti(I)
-    return koszul_betti(I, cap=cap)
+    return koszul_betti(I)
 
 
 def lexd(I: MonomialIdeal, d: int) -> MonomialIdeal:
@@ -261,7 +261,7 @@ def lexd(I: MonomialIdeal, d: int) -> MonomialIdeal:
     return J
 
 
-def regularity_range(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> dict[int, MonomialIdeal]:
+def regularity_range(I: MonomialIdeal) -> dict[int, MonomialIdeal]:
     """Witnesses for every achievable regularity with the Hilbert function of
     I: r -> a monomial ideal of regularity exactly r, for r from reg(I) (the
     caller asserts the input realizes the minimum) up to reg(Lex(I)).
@@ -274,7 +274,7 @@ def regularity_range(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> dict[i
     """
     if I.is_zero or I.is_unit:
         raise DomainError("need a nonzero, nonunit ideal")
-    a = regularity(I, cap)
+    a = regularity(I)
     b = lexify(I).max_gen_degree
     n = I.ring.num_vars
     values = I.hilbert_through(b + n - 1)

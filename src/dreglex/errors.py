@@ -16,7 +16,9 @@ class FormatError(DregLexError):
 class CapExceeded(DregLexError):
     """A component's lcm lattice in the Koszul oracle would exceed the cap.
 
-    The question is left undecided; a wrong boolean is never returned.
+    The question is left undecided; a wrong boolean is never returned.  The
+    cap is ``koszul.DEFAULT_LATTICE_CAP`` everywhere but in a direct call
+    ``koszul_betti(I, cap=...)``, the one place that sets another.
     """
 
 

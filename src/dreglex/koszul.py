@@ -334,7 +334,7 @@ def _lcm_lattice(gens: Sequence[Sequence[int]], cap: int) -> tuple[int, set[int]
         code = sum(((1 << e) - 1) << shift for e, shift in zip(g, shifts))
         codes |= {c | code for c in codes}
         if len(codes) > cap:
-            raise CapExceeded(f"lcm lattice exceeds the cap of {cap} multidegrees")
+            raise CapExceeded(f"lcm lattice exceeds the cap of {cap} multidegrees; call koszul_betti(I, cap=...) to raise it")
     return width, codes
 
 
@@ -381,7 +381,8 @@ def _components(masks: tuple[tuple[int, ...], ...]) -> list[int]:
 def koszul_betti(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> BettiDiagram:
     """Graded Betti numbers of I from Koszul homology, ideal-indexed
     (beta_{i,j}(I) = beta_{i+1,j}(S/I)).  Raises CapExceeded when the lcm
-    lattice of a component has more than `cap` points."""
+    lattice of a component has more than `cap` points; this keyword is the
+    one place the bound is set, and every other caller keeps the default."""
     if I.is_unit:
         raise DomainError("the unit ideal has no proper minimal resolution here")
     if I.is_zero:

@@ -285,7 +285,7 @@ def parse_decimal(text: str) -> int:
     return int(text)
 
 
-_FACTOR_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
+_FACTOR_RE = re.compile(r"^x([0-9]+)(?:\^([0-9]+))?$")
 
 
 def parse_monomial(text: str, ring: GroundRing) -> Monomial:

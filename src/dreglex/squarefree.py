@@ -22,7 +22,6 @@ from .betti import ahh_betti
 from .dlex import LSequence, dlinear_layer, regularity, require_realizable, single_degree
 from .errors import DomainError, FormatError
 from .ideals import MonomialIdeal, sq_lex_layers, squarefree_counts
-from .koszul import DEFAULT_LATTICE_CAP
 from .macaulay import binom
 from .monomials import GroundRing, Monomial, lex_prefix_counts, parse_decimal, phi, phi_inv
 
@@ -301,7 +300,7 @@ def complex_from_ideal(I: MonomialIdeal) -> SimplicialComplex:
     return _complement_complex(_dual_ideal(I.ring, (g.support for g in I.gens)))
 
 
-def eagon_reiner_cm(complex_: SimplicialComplex, cap: int = DEFAULT_LATTICE_CAP) -> bool:
+def eagon_reiner_cm(complex_: SimplicialComplex) -> bool:
     """Cohen-Macaulayness via the dual ideal: true iff the Stanley-Reisner
     ideal (x^{[n] - F} : F facet) of the Alexander dual is generated in a
     single degree d and has regularity d (a d-linear resolution)."""
@@ -313,7 +312,7 @@ def eagon_reiner_cm(complex_: SimplicialComplex, cap: int = DEFAULT_LATTICE_CAP)
     if dual_ideal.is_unit:
         raise DomainError("degenerate dual (unit ideal); verdict undefined")
     d = dual_ideal.max_gen_degree
-    return dual_ideal.min_gen_degree == d and regularity(dual_ideal, cap) == d
+    return dual_ideal.min_gen_degree == d and regularity(dual_ideal) == d
 
 
 # -- complex file format ----------------------------------------------------------

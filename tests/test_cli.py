@@ -1,5 +1,6 @@
 """Command-line front end: verbs, exit codes, bit-exact output, round-trips."""
 
+import functools
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ import dreglex.cli
 import dreglex.dlex
 import dreglex.ideals
 from dreglex.betti import ek_betti
+from dreglex.areas import parse_area
 from dreglex.cli import main
 from dreglex.errors import DregLexError, FormatError
 from dreglex.ideals import MonomialIdeal, parse_ideal
@@ -488,49 +490,60 @@ class TestStrictIntegers:
             code, out, err = run(capsys, "complex", "fvec", str(path))
             assert (code, out) == (2, "") and err.startswith(f"format error: {match}"), text
 
+    @pytest.mark.parametrize("value", NOT_DECIMAL)
+    def test_generators_and_area(self, capsys, tmp_path, value):
+        ring = GroundRing(4)
+        for text in (f"x{value}", f"x1^{value}"):
+            with pytest.raises(FormatError, match="bad monomial factor"):
+                parse_monomial(text, ring)
+            path = tmp_path / "bad.ideal"
+            path.write_text(f"n=4\n{text}\n", encoding="utf-8")
+            for source in (["--gens", text, "-n", "4"], [str(path)]):
+                code, out, err = run(capsys, "hilb", "-t", "2", *source)
+                assert (code, out) == (2, "") and err.startswith("format error: bad monomial factor"), text
+        with pytest.raises(FormatError, match="bad area corner"):
+            parse_area(f"({value},2)")
+        code, out, err = run(capsys, "lexarea", "--gens", "x1", "-n", "2", "--area", f"({value},2)")
+        assert (code, out) == (2, "") and err.startswith("format error: bad area corner")
+
+    @pytest.mark.parametrize("value", NOT_DECIMAL + [" 4"])
+    @pytest.mark.parametrize("argv", [
+        ["hilb", "-t", "2", "--gens", "x1", "-n"], ["dlex", "--gens", "x1", "-n", "2", "-d"],
+        ["hilb", "--gens", "x1", "-n", "2", "-t"], ["hilb", "--gens", "x1", "-n", "2", "--through"],
+    ])
+    def test_integer_options(self, capsys, argv, value):
+        # int() read these as 10, 3, 3 and 4 before; a leading '-' still
+        # reads, so -t -3 and -n -2 keep their domain and format errors
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        assert exc.value.code == 2
+        assert f"expected a decimal integer, got {value!r}" in capsys.readouterr().err
+
+
+# each verb's required arguments, an input file name by default; the parser
+# stops before any file is read
+VERB_ARGS = {"hilb": ["-t", "3", "in.txt"], "characterize": ["-d", "3", "in.txt"],
+             "dlex": ["-d", "3", "in.txt"], "sqdlex": ["-d", "3", "in.txt"],
+             "lexarea": ["--area", "(2,4)", "in.txt"], "area": ["check", "(2,4)"], "complex": ["cm", "in.txt"]}
+
 
 class TestCapFlag:
-    """--cap is accepted exactly by the verbs that read it: it bounds the
-    Koszul oracle's lcm lattice, and nothing else enumerates under a cap.
-    dlex, sqdlex and sq-reg-range decide from the Hilbert function and never
-    reach the oracle."""
+    """No verb takes --cap: the Koszul oracle's lcm-lattice bound is set only
+    by a direct call koszul_betti(I, cap=...), and every verb keeps the
+    default."""
 
-    @pytest.mark.parametrize("argv", [
-        ["hilb", "-t", "3"], ["lex"], ["sqlex"], ["phi"], ["phi-inv"], ["phi-tilde"], ["lseq"],
-        ["characterize", "-d", "3"], ["lexarea", "--area", "(2,4)"],
-        ["dlex", "-d", "3"], ["sqdlex", "-d", "3"], ["sq-reg-range"],
-    ])
-    def test_verbs_without_enumeration_reject_cap(self, capsys, running, argv):
+    @pytest.mark.parametrize("argv", [[verb, *VERB_ARGS.get(verb, ["in.txt"])] for verb, *_ in dreglex.cli.VERBS])
+    def test_verbs_without_enumeration_reject_cap(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            main(argv + [running, "--cap", "5"])
+            main(argv + ["--cap", "5"])
         assert exc.value.code == 2
         assert "unrecognized arguments: --cap 5" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [
-        ["betti"], ["reg-range"], ["complex", "cm"],
-    ])
-    def test_reading_verbs_accept_cap(self, argv):
-        assert dreglex.cli.build_parser().parse_args(argv + ["in.txt", "--cap", "7"]).cap == 7
-
-    def test_koszul_cap_still_bites(self, capsys, running):
-        code, _, err = run(capsys, "betti", "--method", "koszul", "--cap", "1", running)
-        assert code == 1
-        assert "lcm lattice exceeds the cap of 1" in err
-
-    def test_degreewise_ignores_cap(self, capsys):
-        # the degreewise counts come from numerators, not from enumeration
-        gens = "x1^2,x1*x2,x2^2,x1*x3"
-        code, out, _ = run(capsys, "betti", "--method", "degreewise", "--cap", "1", "--gens", gens, "-n", "3")
-        _, ek, _ = run(capsys, "betti", "--method", "ek", "--gens", gens, "-n", "3")
-        assert code == 0 and out == ek
-
-    @pytest.mark.parametrize("verb", [["betti", "--method", "koszul"], ["complex", "cm"]])
-    @pytest.mark.parametrize("cap", ["0", "-5", "abc"])
-    def test_malformed_cap_is_usage_error(self, capsys, running, verb, cap):
-        with pytest.raises(SystemExit) as exc:
-            main(verb + [running, "--cap", cap])
-        assert exc.value.code == 2
-        assert f"argument --cap: expected a positive integer, got '{cap}'" in capsys.readouterr().err
+    def test_koszul_cap_still_bites(self, capsys, monkeypatch, running):
+        monkeypatch.setattr(dreglex.cli, "koszul_betti", functools.partial(dreglex.cli.koszul_betti, cap=1))
+        code, out, err = run(capsys, "betti", "--method", "koszul", running)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: lcm lattice exceeds the cap of 1 multidegrees")
 
 
 class TestRingSize:
