@@ -138,7 +138,11 @@ def _divisors(index: ThresholdIndex, exponents: tuple[int, ...]) -> int:
 
 def series_coefficient(num_vars: int, numerator: Sequence[int], t: int) -> int:
     """The degree-t coefficient of numerator(z) / (1 - z)^num_vars, the
-    numerator given as coefficients lowest degree first; num_vars >= 1."""
+    numerator given as coefficients lowest degree first; num_vars >= 1.
+    A negative t raises DomainError, as a negative slice end would select
+    coefficients instead."""
+    if t < 0:
+        raise DomainError(f"negative degree {t}")
     n = num_vars
     return sum(c * comb(n - 1 + t - k, n - 1) for k, c in enumerate(numerator[: t + 1]))
 
@@ -281,8 +285,6 @@ class MonomialIdeal:
 
     def hilbert(self, t: int) -> int:
         """dim of the degree-t component of the ideal."""
-        if t < 0:
-            raise DomainError(f"negative degree {t}")
         return self.count(t)
 
     def hilbert_quotient(self, t: int) -> int:

@@ -58,24 +58,9 @@ neither divides the other), a = lcm(g, h) leaves every position tight for g
 or for h, so their slack masks are disjoint and non-empty and K^a is two
 disjoint simplices: beta_2 = 1.
 
-Two more kinds of block are settled from their slack masks.  At a cone
+One more kind of block is settled from its slack masks.  At a cone
 point one divisor is slack at every support position, so x^(a - 1_supp)
-lies in I, every face is non-standard and the block is zero.  Otherwise
-K^a is the union of the simplices on its facets, the maximal slack masks,
-and any intersection of them is a simplex or empty, so K^a has the
-homology of their nerve (Bjorner, Topological methods, Handbook of
-Combinatorics, 1995, Thm 10.6), with beta_i(S/I) at a equal to
-H~_{i-2}(K^a).  The same holds for any cover by simplices, so a family of
-at most three distinct masks is answered before the down-closure, and
-any other family once the down-closure shows at most three facets: the
-masks F with no F + pos non-standard.  Two or more minimal divisors leave
-no mask empty, as only a itself is tight everywhere; an empty mask covers
-no point of K^a and is no vertex of a nerve.  One facet is a simplex
-(zero); two are an edge (zero) when they meet and two points ({2: 1})
-when not.  For three the nerve is a full triangle (zero) when all three
-meet, and otherwise the graph of the e pairs that meet: three points, an
-edge and a point, a path or a circle for e = 0, 1, 2, 3, giving {2: 2},
-{2: 1}, zero and {3: 1}.
+lies in I, every face is non-standard and the block is zero.
 
 The critical faces C of the one-vertex matching are matched once more
 before any basis is built: for a support position w, pair each F in C
@@ -92,6 +77,11 @@ things: the answer of each (support size, slack-mask family), looked up
 before the down-closure, the matching and the ranks, and the homology of
 each (support size, critical faces), so that two families with the same
 critical faces still rank once.
+
+Each of these rules was timed by deleting it alone (2-vCPU VM, Python
+3.11).  Without the second matching the bench's oracle inputs took 254 ms
+against 222 ms; without the (s, faces) memo the 16-cycle took 1.1-1.2 s
+against 0.84 s, and without the family memo 0.89 s against 0.76 s.
 """
 
 from __future__ import annotations
@@ -213,15 +203,14 @@ def _block_betti(divisors: int, below: list[int], memo: dict[tuple[int, int], di
     bitmask `divisors` of the generators dividing x^a and, per support
     position k of a in order, the generators with g_k < a_k (`below`).
 
-    Returns {i: beta_{i,|a|}(S/I) contribution}.  A cone point and a family
-    of at most three slack masks are answered from the masks, and a family
-    with at most three facets from its facets; any other block is computed
-    on the critical faces of the one-vertex matching with the fewest of
-    them (the lowest position on ties), matched once more before any rank;
-    with an empty support the block keeps its faces.  `memo` maps
-    (s, faces) to homology already computed in this oracle call, and
-    (s, ~family) to a family's answer: face sets are non-negative and
-    complemented families negative, so the two kinds of key never meet.
+    Returns {i: beta_{i,|a|}(S/I) contribution}.  A cone point is answered
+    from the masks; any other block is computed on the critical faces of
+    the one-vertex matching with the fewest of them (the lowest position on
+    ties), matched once more before any rank; with an empty support the
+    block keeps its faces.  `memo` maps (s, faces) to homology already
+    computed in this oracle call, and (s, ~family) to a family's answer:
+    face sets are non-negative and complemented families negative, so the
+    two kinds of key never meet.
     """
     s = len(below)
     # a divisor slack at every position makes every face non-standard
@@ -253,42 +242,11 @@ def _block_betti(divisors: int, below: list[int], memo: dict[tuple[int, int], di
     return memo[key]
 
 
-def _nerve_betti(cover: int) -> dict[int, int]:
-    """The block whose K^a is the union of the simplices on one to three
-    non-empty masks (bit m of `cover` for mask m): the homology of their
-    nerve (module docstring).  Two masks are an edge or two points, and
-    three a full triangle when all meet, else the graph of the e pairs that
-    meet: three points, an edge and a point, a path or a circle."""
-    masks = []
-    while cover:
-        masks.append(cover.bit_length() - 1)
-        cover ^= 1 << masks[-1]
-    if len(masks) < 3:
-        return {2: 1} if len(masks) == 2 and not masks[0] & masks[1] else {}
-    a, b, c = masks
-    if a & b & c:
-        return {}
-    edges = bool(a & b) + bool(a & c) + bool(b & c)
-    return ({2: 2}, {2: 1}, {}, {3: 1})[edges]
-
-
 def _family_betti(s: int, family: int, memo: dict[tuple[int, int], dict[int, int]]) -> dict[int, int]:
     """``_block_betti`` from the bitset `family` of the distinct slack masks
     (bit m for mask m) over an s-element support, none of them full."""
-    # an empty mask covers no point of K^a, so it is no vertex of a nerve
-    nerve = family and not family & 1
-    if nerve and family.bit_count() <= 3:
-        return _nerve_betti(family)
     full, has, _ = _face_tables(s)
     ns = _down_closure(family, has)
-    if nerve:
-        # the facets of K^a: the masks in no larger non-standard face
-        covered = 0
-        for pos, h in enumerate(has):
-            covered |= (ns & h) >> (1 << pos)
-        facets = family & ~covered
-        if facets.bit_count() <= 3:
-            return _nerve_betti(facets)
     std = full & ~ns
     faces = min(_critical_faces(std, ns, has), key=int.bit_count) if s else std
     if not faces:

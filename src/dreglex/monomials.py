@@ -27,6 +27,11 @@ from typing import Iterable, Iterator
 
 from .errors import DomainError, FormatError, RingMismatch
 
+# a dense Monomial holds one pointer per variable, so a ring of 10^5
+# variables costs about 0.8 MB per exponent vector; rings and complexes
+# above this size are refused before any vector is built
+MAX_VARIABLES = 10**5
+
 
 @dataclass(frozen=True)
 class GroundRing:
@@ -38,6 +43,8 @@ class GroundRing:
     def __post_init__(self) -> None:
         if self.num_vars < 1:
             raise DomainError(f"ground ring needs at least one variable, got {self.num_vars}")
+        if self.num_vars > MAX_VARIABLES:
+            raise DomainError(f"ground ring allows at most {MAX_VARIABLES} variables, got {self.num_vars}")
 
     def one(self) -> Monomial:
         return Monomial((0,) * self.num_vars)

@@ -23,7 +23,7 @@ from .dlex import LSequence, dlinear_layer, regularity, require_realizable, sing
 from .errors import DomainError, FormatError
 from .ideals import MonomialIdeal, sq_lex_layers, squarefree_counts
 from .macaulay import binom
-from .monomials import GroundRing, Monomial, lex_prefix_counts, parse_decimal, phi, phi_inv
+from .monomials import MAX_VARIABLES, GroundRing, Monomial, lex_prefix_counts, parse_decimal, phi, phi_inv
 
 # -- the squarefree operation (phi and phi_inv on monomials: ``monomials``) ---
 
@@ -208,6 +208,8 @@ class SimplicialComplex:
     def __init__(self, vertex_count: int, facets=()):
         if vertex_count < 1:
             raise DomainError("need at least one vertex slot")
+        if vertex_count > MAX_VARIABLES:
+            raise DomainError(f"a complex allows at most {MAX_VARIABLES} vertex slots, got {vertex_count}")
         fs = {frozenset(f) for f in facets}
         for f in fs:
             if any(not 1 <= v <= vertex_count for v in f):

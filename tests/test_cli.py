@@ -14,11 +14,11 @@ import dreglex.ideals
 from dreglex.betti import ek_betti
 from dreglex.areas import parse_area
 from dreglex.cli import main
-from dreglex.errors import DregLexError, FormatError
+from dreglex.errors import DomainError, DregLexError, FormatError
 from dreglex.ideals import MonomialIdeal, parse_ideal
-from dreglex.monomials import GroundRing, parse_monomial
+from dreglex.monomials import MAX_VARIABLES, GroundRing, parse_monomial
 from dreglex.macaulay import parse_hilbert
-from dreglex.squarefree import parse_complex
+from dreglex.squarefree import SimplicialComplex, parse_complex
 
 RUNNING = "n=4\nx1*x2\nx3*x4\n"
 SECTION4 = "n=6\nx1*x3*x5\nx1*x3*x6\nx1*x4*x6\nx2*x4*x6\n"
@@ -547,7 +547,9 @@ class TestCapFlag:
 
 
 class TestRingSize:
-    """A ring without variables is a format error however it is given."""
+    """A ring without variables, or with more than MAX_VARIABLES of them, is
+    a format error however it is given; so is a complex with more vertex
+    slots.  The size is refused before any exponent vector is built."""
 
     @pytest.mark.parametrize("n", ["0", "-2"])
     def test_inline_ring_size_exit_2(self, capsys, n):
@@ -561,6 +563,28 @@ class TestRingSize:
         code, _, err = run(capsys, "betti", str(path))
         assert code == 2
         assert err == "format error: ground ring needs at least one variable, got 0\n"
+
+    HUGE = "6999999999999"
+
+    def test_huge_ring_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.ideal"
+        path.write_text(f"n={self.HUGE}\nx1^2\n")
+        expected = f"format error: ground ring allows at most {MAX_VARIABLES} variables, got {self.HUGE}\n"
+        assert run(capsys, "hilb", "-t", "2", str(path)) == (2, "", expected)
+        assert run(capsys, "hilb", "-t", "2", "--gens", "x1^2", "-n", self.HUGE) == (2, "", expected)
+
+    def test_huge_complex_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.cx"
+        path.write_text(f"vertices={self.HUGE}\n1,2\n")
+        expected = f"format error: a complex allows at most {MAX_VARIABLES} vertex slots, got {self.HUGE}\n"
+        assert run(capsys, "complex", "fvec", str(path)) == (2, "", expected)
+
+    def test_limit_is_inclusive(self):
+        assert GroundRing(MAX_VARIABLES).num_vars == SimplicialComplex(MAX_VARIABLES).vertex_count == MAX_VARIABLES
+        with pytest.raises(DomainError, match=f"got {MAX_VARIABLES + 1}$"):
+            GroundRing(MAX_VARIABLES + 1)
+        with pytest.raises(DomainError, match=f"got {MAX_VARIABLES + 1}$"):
+            SimplicialComplex(MAX_VARIABLES + 1)
 
 
 class TestParserReuse:

@@ -258,6 +258,17 @@ class TestHilbert:
         with pytest.raises(DomainError, match="negative degree -1"):
             ideals[-1].hilbert_through(-1)
 
+    @pytest.mark.parametrize("t", [-1, -2, -5])
+    def test_negative_degree_is_a_domain_error(self, t):
+        """Every point read of the Hilbert function refuses a negative
+        degree; a negative slice end into the numerator would otherwise read
+        its leading coefficients, and below -1 reach math.comb's ValueError."""
+        I = ideal(GroundRing(3), "x1^2", "x1*x2", "x2^3")
+        D = koszul_betti(I)
+        for read in (I.count, I.hilbert, I.hilbert_quotient, D.hilbert_quotient):
+            with pytest.raises(DomainError, match=f"^negative degree {t}$"):
+                read(t)
+
     def test_pivot_steps_match_the_first_bookkeeping(self, monkeypatch):
         """The pivot step counts columns and picks the pivot more cheaply
         than the reference does, but takes the same pivots: the same
