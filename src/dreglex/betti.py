@@ -104,12 +104,11 @@ class BettiDiagram:
 
     def hilbert_quotient(self, t: int) -> int:
         """H(S/I, t) recovered from the diagram through the K-polynomial:
-        the alternating column sums are the numerator coefficients of the
-        Hilbert series over (1-t)^n."""
+        each entry is a signed term of the numerator of the Hilbert series
+        over (1-t)^n, and the terms of one degree add up to its coefficient
+        (the alternating column sum)."""
         # the (0, 0) quotient entry, then each entry at quotient index i + 1
-        numerator = [1] + [0] * max((j for _, j in self.entries), default=0)
-        for (i, j), v in self.entries.items():
-            numerator[j] += v if i % 2 else -v
+        numerator = [(0, 1)] + [(j, v if i % 2 else -v) for (i, j), v in self.entries.items()]
         return series_coefficient(self.num_vars, numerator, t)
 
     def __hash__(self) -> int:  # the generated one would hash the unhashable mappingproxy

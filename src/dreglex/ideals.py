@@ -8,14 +8,17 @@ supported on x1..xq (for squarefree counts only the squarefree ones, since a
 divisor of a squarefree monomial is squarefree).  It is computed once per
 ideal and q by the pivot recursion N(S/I) = N(S/(I + (p))) + z^deg(p)
 N(S/(I : p)) (Bayer-Stillman 1992, Bigatti 1997).  It needs no enumeration
-and no cap, and it is read two ways.  Point reads, ``MonomialIdeal.count``,
-take exact binomial sums: one degree of the Hilbert function, the counts by
+and no cap.  N is kept sparse, as its (degree, coefficient) terms sorted by
+degree with no zero term, so its size follows the number of terms and not
+the generator degrees: x1^(3*10^12) costs two terms.  It is read two ways.
+Point reads, ``MonomialIdeal.count``, take exact binomial sums over the
+terms of degree at most t: one degree of the Hilbert function, the counts by
 max index of the degreewise Betti formulas and of Lex(I, A) (at heights up
 to 10^9, where no prefix could be built), and the squarefree counts of
 SqLex.  Prefix reads, ``MonomialIdeal.hilbert_through``, take H(0..T) at
-once by n running sums over the coefficients, O(n T) additions and no
-binomials: the Hilbert files of ``hilb``, ``lexd``, the regularity range
-and the check of every d-lexsegment built.  The three stability classes
+once by n running sums over the coefficients through z^T, O(n T) additions
+and no binomials: the Hilbert files of ``hilb``, ``lexd``, the regularity
+range and the check of every d-lexsegment built.  The three stability classes
 (stable, strongly stable, squarefree strongly stable) share one
 move-closure check on the minimal generators, and both strong-stability
 classes need only the adjacent moves x_q -> x_(q-1).  ``degree_slice``
@@ -51,7 +54,7 @@ import itertools
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from math import comb
-from operator import attrgetter, le, or_, sub
+from operator import attrgetter, itemgetter, le, or_
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import DomainError, FormatError, RingMismatch
@@ -136,20 +139,19 @@ def _divisors(index: ThresholdIndex, exponents: tuple[int, ...]) -> int:
     return hit
 
 
-def series_coefficient(num_vars: int, numerator: Sequence[int], t: int) -> int:
+def series_coefficient(num_vars: int, numerator: Iterable[tuple[int, int]], t: int) -> int:
     """The degree-t coefficient of numerator(z) / (1 - z)^num_vars, the
-    numerator given as coefficients lowest degree first; num_vars >= 1.
-    A negative t raises DomainError, as a negative slice end would select
-    coefficients instead."""
+    numerator given as (degree, coefficient) terms; num_vars >= 1.  Only the
+    terms of degree at most t contribute.  A negative t raises DomainError."""
     if t < 0:
         raise DomainError(f"negative degree {t}")
-    n = num_vars
-    return sum(c * comb(n - 1 + t - k, n - 1) for k, c in enumerate(numerator[: t + 1]))
+    return sum(c * comb(num_vars - 1 + t - k, num_vars - 1) for k, c in numerator if k <= t)
 
 
-def _numerator(gens: list[tuple[int, ...]]) -> list[int]:
+def _numerator(gens: list[tuple[int, ...]]) -> dict[int, int]:
     """Hilbert-series numerator of S/I for the ideal minimally generated by
-    the exponent vectors ``gens``.
+    the exponent vectors ``gens``, as a dict degree -> coefficient that may
+    hold zero coefficients.
 
     The pivot p = x_i^e takes the variable x_i dividing the most generators
     and e its least positive exponent among them.  Then I + (p) is generated
@@ -159,9 +161,11 @@ def _numerator(gens: list[tuple[int, ...]]) -> list[int]:
     The recursion stops at pairwise coprime generators, where
     N = prod (1 - z^deg g).  The colon side is followed in a loop, so the
     call depth is at most the number of variables: the generators of each
-    I + (p) call avoid x_i.  Trailing zero coefficients are dropped.
+    I + (p) call avoid x_i.  Each step adds z^shift (1 - z^e) N(I + (p))
+    term by term, so the work and the memory follow the number of terms,
+    not the degrees.
     """
-    out: list[int] = []
+    out: dict[int, int] = {}
     shift = 0
     while gens:
         columns = list(zip(*gens))
@@ -173,31 +177,22 @@ def _numerator(gens: list[tuple[int, ...]]) -> list[int]:
         e = min(filter(None, columns[i]))
         rest = [g for g in gens if not g[i]]
         lowered = [g[:i] + (g[i] - e,) + g[i + 1:] for g in gens if g[i]]
-        _add_shifted(out, _times_one_minus(_numerator(rest), e), shift)
+        for k, c in _numerator(rest).items():
+            k += shift
+            out[k] = out.get(k, 0) + c
+            out[k + e] = out.get(k + e, 0) - c
         shift += e
         gens = lowered + [h for h in rest if not any(all(map(le, r, h)) for r in lowered)]
-    base = [1]
+    base = {shift: 1}
     for g in gens:
-        base = _times_one_minus(base, sum(g))
-    _add_shifted(out, base, shift)
-    while out and not out[-1]:
-        out.pop()
+        d = sum(g)
+        for k, c in list(base.items()):
+            base[k + d] = base.get(k + d, 0) - c
+    if not out:
+        return base
+    for k, c in base.items():
+        out[k] = out.get(k, 0) + c
     return out
-
-
-def _times_one_minus(poly: list[int], d: int) -> list[int]:
-    """poly * (1 - z^d)."""
-    out = poly + [0] * d
-    for k, c in enumerate(poly):
-        out[k + d] -= c
-    return out
-
-
-def _add_shifted(out: list[int], poly: list[int], shift: int) -> None:
-    """out += z^shift * poly, in place."""
-    out.extend([0] * (shift + len(poly) - len(out)))
-    for k, c in enumerate(poly):
-        out[k + shift] += c
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -297,9 +292,8 @@ class MonomialIdeal:
         N(z) / (1 - z)^n) through z^top, by n running sums."""
         if top < 0:
             raise DomainError(f"negative degree {top}")
-        series = itertools.islice(itertools.chain(self.numerator(), itertools.repeat(0)), top + 1)
-        if not quotient:
-            series = map(sub, itertools.chain((1,), itertools.repeat(0)), series)
+        N = dict(self.numerator())
+        series = [N.get(k, 0) if quotient else (k == 0) - N.get(k, 0) for k in range(top + 1)]
         for _ in range(self.ring.num_vars):
             series = itertools.accumulate(series)
         return tuple(series)
@@ -309,25 +303,33 @@ class MonomialIdeal:
         ``squarefree``) in the first q = ``num_vars`` variables (default all),
         read off the numerator N of I_q: C(q + t - 1, t) minus the series
         coefficient, or C(q, t) - f_{t-1} for the face numbers f of the
-        Stanley-Reisner complex, sum_i f_{i-1} w^i = sum_k N_k w^k (1 + w)^(q - k)."""
+        Stanley-Reisner complex, sum_i f_{i-1} w^i = sum_k N_k w^k (1 + w)^(q - k).
+        A negative t, or a q outside 0..n, raises DomainError."""
+        if t < 0:
+            raise DomainError(f"negative degree {t}")
         q = self.ring.num_vars if num_vars is None else num_vars
         if q == 0:
             return int(t == 0 and self.is_unit)
         N = self.numerator(q, squarefree)
         if squarefree:
-            return binom(q, t) - sum(c * binom(q - k, t - k) for k, c in enumerate(N[: t + 1]))
+            return binom(q, t) - sum(c * binom(q - k, t - k) for k, c in N if k <= t)
         return count_monomials(q, t) - series_coefficient(q, N, t)
 
-    def numerator(self, num_vars: int | None = None, squarefree: bool = False) -> tuple[int, ...]:
-        """Coefficients of N with Hilbert series N(z) / (1 - z)^q of
-        k[x1..xq]/I_q, lowest degree first and never ending in 0, so ideals
-        over one ring have equal Hilbert functions iff their numerators are
-        equal; q = num_vars (default n)."""
+    def numerator(self, num_vars: int | None = None, squarefree: bool = False) -> tuple[tuple[int, int], ...]:
+        """The terms (k, N_k) of N with Hilbert series N(z) / (1 - z)^q of
+        k[x1..xq]/I_q, sorted by degree k and with no zero coefficient, so
+        ideals over one ring have equal Hilbert functions iff their
+        numerators are equal; q = num_vars (default n)."""
         q = self.ring.num_vars if num_vars is None else num_vars
-        return self.memo(("numerator", q, squarefree), lambda: tuple(_numerator([
-            e[:q] for e in (g.exponents for g in self.gens)
-            if not any(e[q:]) and not (squarefree and max(e) > 1)
-        ])))
+        if not 0 <= q <= self.ring.num_vars:
+            raise DomainError(f"num_vars {q} out of range 0..{self.ring.num_vars}")
+        # the unit ideal's I_0 would reach _numerator as one empty exponent vector
+        return self.memo(("numerator", q, squarefree), lambda: () if q == 0 and self.is_unit else tuple(sorted(filter(
+            itemgetter(1), _numerator([
+                e[:q] for e in (g.exponents for g in self.gens)
+                if not any(e[q:]) and not (squarefree and max(e) > 1)
+            ]).items()
+        ))))
 
     def memo(self, key: Hashable, compute: Callable[[], T]) -> T:
         """The value cached under ``key``, computed by ``compute()`` on the

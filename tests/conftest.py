@@ -6,6 +6,7 @@ from a fixed seed so failures reproduce.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import operator
@@ -15,7 +16,7 @@ from typing import Iterable
 import pytest
 
 from dreglex.errors import DomainError, RingMismatch
-from dreglex.ideals import MonomialIdeal, _add_shifted, _times_one_minus
+from dreglex.ideals import MonomialIdeal
 from dreglex.macaulay import binom
 from dreglex.monomials import GroundRing, Monomial, lex_rank
 
@@ -178,16 +179,18 @@ def is_sq_strongly_stable_all_moves(I: MonomialIdeal) -> bool:
     )
 
 
-def numerator_by_pivot_key(gens: list[tuple[int, ...]], calls: list | None = None) -> list[int]:
+def numerator_by_pivot_key(gens: list[tuple[int, ...]], calls: list | None = None) -> tuple[tuple[int, int], ...]:
     """The pivot recursion of ``dreglex.ideals._numerator`` with its first
     bookkeeping: each column counted by ``sum(map(bool, ...))``, the pivot
     variable picked by ``max(range, key=...)`` (the first of highest count)
     and its exponent by a generator scan.  Each call appends its generator
     list to ``calls``, so the sequences of recursive calls, which follow the
-    pivots, can be compared as well as the numerators."""
+    pivots, can be compared as well as the numerators.  The numerator is
+    returned as the terms of ``MonomialIdeal.numerator``: (degree,
+    coefficient) pairs sorted by degree, no coefficient zero."""
     if calls is not None:
         calls.append(tuple(gens))
-    out: list[int] = []
+    out: collections.Counter = collections.Counter()
     shift = 0
     while gens:
         counts = [sum(map(bool, column)) for column in zip(*gens)]
@@ -197,16 +200,16 @@ def numerator_by_pivot_key(gens: list[tuple[int, ...]], calls: list | None = Non
         e = min(g[i] for g in gens if g[i])
         rest = [g for g in gens if not g[i]]
         lowered = [g[:i] + (g[i] - e,) + g[i + 1:] for g in gens if g[i]]
-        _add_shifted(out, _times_one_minus(numerator_by_pivot_key(rest, calls), e), shift)
+        for k, c in numerator_by_pivot_key(rest, calls):  # z^shift (1 - z^e) N(rest)
+            out[shift + k] += c
+            out[shift + e + k] -= c
         shift += e
         gens = lowered + [h for h in rest if not any(all(map(operator.le, r, h)) for r in lowered)]
-    base = [1]
-    for g in gens:
-        base = _times_one_minus(base, sum(g))
-    _add_shifted(out, base, shift)
-    while out and not out[-1]:
-        out.pop()
-    return out
+    base = collections.Counter({shift: 1})
+    for g in gens:  # times (1 - z^deg g)
+        base.subtract({k + sum(g): c for k, c in base.items()})
+    out.update(base)
+    return tuple(sorted((k, c) for k, c in out.items() if c))
 
 
 # -- random generators ----------------------------------------------------------

@@ -127,6 +127,13 @@ class TestHilb:
     def test_negative_degree_is_domain_error(self, capsys, running, argv):
         assert run(capsys, "hilb", *argv, running) == (1, "", "error: negative degree -3\n")
 
+    def test_exponent_past_any_dense_list(self, capsys):
+        # the numerator of (x1^e, x2^2) is four terms, however large e is
+        gens = "x1^2999999999999,x2^2"
+        assert run(capsys, "hilb", "-t", "3", "--gens", gens, "-n", "2") == (0, "2\n", "")
+        code, out, _ = run(capsys, "hilb", "--through", "4", "--gens", gens, "-n", "2")
+        assert code == 0 and parse_hilbert(out).values == (0, 0, 1, 2, 3)
+
 
 class TestLexVerbs:
     def test_dlex_matches_printed_list(self, capsys, running):

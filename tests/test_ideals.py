@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 
 import pytest
 
@@ -182,28 +183,26 @@ class TestHilbert:
 
     def test_numerator_is_koszul_k_polynomial(self):
         """The numerator of S/I equals the K-polynomial of the oracle's
-        Betti diagram, coefficient by coefficient."""
+        Betti diagram, term by term: its non-zero terms by degree."""
         rng = random.Random(41)
         for _ in range(30):
             I = random_monomial_ideal(rng, rng.randint(2, 5), 3, count=rng.randint(2, 6))
             D = koszul_betti(I)
-            k_poly = [0] * (1 + max((j for _, j in D.entries), default=0))
-            k_poly[0] = 1
+            k_poly = {0: 1}
             for (i, j), v in D.entries.items():
-                k_poly[j] += v if i % 2 else -v
-            numerator = list(I.numerator())
-            width = max(len(k_poly), len(numerator))
-            assert numerator + [0] * (width - len(numerator)) == k_poly + [0] * (width - len(k_poly))
+                k_poly[j] = k_poly.get(j, 0) + (v if i % 2 else -v)
+            assert I.numerator() == tuple(sorted((j, c) for j, c in k_poly.items() if c))
             for t in range(0, 8):
                 assert I.hilbert_quotient(t) == D.hilbert_quotient(t)
 
     def test_numerator_never_ends_in_zero(self):
-        """Trailing zeros are dropped, so ideals with one Hilbert function
-        read one tuple: an ideal and its lexification agree, although the
-        latter's generators reach higher degrees."""
-        assert MonomialIdeal.zero(R4).numerator() == (1,)
+        """The numerator is its (degree, coefficient) terms, sorted by degree
+        and with no zero term, so ideals with one Hilbert function read one
+        tuple: an ideal and its lexification agree, although the latter's
+        generators reach higher degrees."""
+        assert MonomialIdeal.zero(R4).numerator() == ((0, 1),)
         assert ideal(R4, "1").numerator() == ()
-        assert ideal(R4, "x1*x2", "x3*x4").numerator() == (1, 0, -2, 0, 1)
+        assert ideal(R4, "x1*x2", "x3*x4").numerator() == ((0, 1), (2, -2), (4, 1))
         rng = random.Random(43)
         checked = 0
         for _ in range(60):
@@ -214,7 +213,8 @@ class TestHilbert:
             for q in range(1, n + 1):
                 for squarefree in (False, True):
                     N = I.numerator(q, squarefree)
-                    assert not N or N[-1] != 0, (I, q, squarefree)
+                    assert all(c for _, c in N), (I, q, squarefree)
+                    assert [k for k, _ in N] == sorted({k for k, _ in N}), (I, q, squarefree)
             assert I.numerator() == lexify(I).numerator(), I
             checked += 1
         assert checked >= 50
@@ -261,13 +261,47 @@ class TestHilbert:
     @pytest.mark.parametrize("t", [-1, -2, -5])
     def test_negative_degree_is_a_domain_error(self, t):
         """Every point read of the Hilbert function refuses a negative
-        degree; a negative slice end into the numerator would otherwise read
-        its leading coefficients, and below -1 reach math.comb's ValueError."""
+        degree, the squarefree count included, which would otherwise sum no
+        term and answer 0."""
         I = ideal(GroundRing(3), "x1^2", "x1*x2", "x2^3")
         D = koszul_betti(I)
-        for read in (I.count, I.hilbert, I.hilbert_quotient, D.hilbert_quotient):
+        for read in (I.count, I.hilbert, I.hilbert_quotient, D.hilbert_quotient, lambda t: I.count(t, squarefree=True)):
             with pytest.raises(DomainError, match=f"^negative degree {t}$"):
                 read(t)
+
+    @pytest.mark.parametrize("q", [-1, 4, 5])
+    def test_num_vars_out_of_range_is_a_domain_error(self, q):
+        """A count or numerator in the first q variables refuses q outside
+        0..n: q = -1 would reach math.comb's ValueError, and a q past n would
+        slice the exponent vectors silently and count in a larger ring."""
+        I = ideal(GroundRing(3), "x1^2", "x1*x2", "x2^3")
+        for read in (lambda: I.count(2, q), lambda: I.count(2, q, squarefree=True), lambda: I.numerator(q)):
+            with pytest.raises(DomainError, match=f"^num_vars {q} out of range 0..3$"):
+                read()
+        assert [I.count(2, k) for k in range(4)] == [0, 1, 2, 2]
+        assert I.numerator(0) == ((0, 1),) and ideal(GroundRing(3), "1").numerator(0) == ()
+
+    def test_huge_exponent_numerator_in_kilobytes(self):
+        """The numerator holds one entry per term, not per degree: four for
+        (x1^(10^7), x2^2).  A dense list of its 10^7 + 3 coefficients, with
+        the copies the pivot step made, peaked near 245 MiB."""
+        I = ideal(R2, f"x1^{10**7}", "x2^2")
+        tracemalloc.start()
+        try:
+            assert I.count(3) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert I.numerator() == ((0, 1), (2, -1), (10**7, -1), (10**7 + 2, 1))
+
+    def test_exponent_past_any_dense_list(self):
+        # a dense numerator of this ideal would need 3 * 10^12 entries
+        e = 2999999999999
+        I = ideal(R2, f"x1^{e}", "x2^2")
+        assert I.count(3) == 2 and I.count(e) == e and I.count(e + 2) == e + 3
+        assert I.hilbert_through(4) == (0, 0, 1, 2, 3)
+        assert I.numerator() == ((0, 1), (2, -1), (e, -1), (e + 2, 1))
 
     def test_pivot_steps_match_the_first_bookkeeping(self, monkeypatch):
         """The pivot step counts columns and picks the pivot more cheaply
@@ -292,7 +326,8 @@ class TestHilbert:
         for gens in cases:
             calls.clear()
             reference_calls = []
-            assert dreglex.ideals._numerator(list(gens)) == numerator_by_pivot_key(list(gens), reference_calls), gens
+            terms = tuple(sorted(term for term in dreglex.ideals._numerator(list(gens)).items() if term[1]))
+            assert terms == numerator_by_pivot_key(list(gens), reference_calls), gens
             assert calls == reference_calls, gens
             counts = [sum(map(bool, column)) for column in zip(*gens)]
             ties += counts.count(max(counts)) > 1 and max(counts) > 1
