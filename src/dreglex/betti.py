@@ -23,6 +23,9 @@ from .ideals import MonomialIdeal, series_coefficient
 from .macaulay import binom
 
 
+MAX_TABLE_ROWS = 10**5
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class BettiDiagram:
     """Sparse map (homological index i, internal degree j) -> positive count,
@@ -121,10 +124,15 @@ class BettiDiagram:
 
     def format_table(self) -> str:
         """Macaulay-style table: row k lists beta_{i,i+k} for i = 0..projdim,
-        '-' for zero entries, plus a total row."""
+        '-' for zero entries, plus a total row.  A table of more than
+        MAX_TABLE_ROWS rows is refused before any row is built; its entries
+        alone (``format_triples``) print at once."""
         if self.is_zero:
             return "total:\n"
         kmin, kmax = self.row_range()
+        if kmax - kmin + 1 > MAX_TABLE_ROWS:
+            raise DomainError(f"the Betti table has {kmax - kmin + 1} rows, more than {MAX_TABLE_ROWS}; "
+                              "print its entries with --triples")
         width = self.projdim() + 1
         lines = []
         for k in range(kmin, kmax + 1):

@@ -10,13 +10,25 @@ The faces F with x^(a - e_F) in I form the upper Koszul simplicial complex
 K^a(I), whose reduced homology gives the Betti numbers at a (Miller-Sturmfels,
 Combinatorial Commutative Algebra, Thm 1.34).  Off the lcm lattice some support
 position is slack for every generator dividing x^a, so K^a(I) is a cone and the
-block is exact; visiting the lattice alone is lossless.  The same slack masks
-decide standardness: x^(a - e_F) lies in I iff F is a subset of
-{k : g_k < a_k} for some generator g dividing x^a.  Each block keeps its
-faces as one integer bitset of 2^s bits (bit m for the face with mask m, s the
-support size): the slack masks set their bits, s shift-ors close the set
-under taking subsets, and the standard faces are the zero bits left over,
-grouped by size with per-size bitsets.
+block is exact; visiting the lattice alone is lossless.  Standardness is a
+covering condition: x^(a - e_F) lies in I iff some generator g dividing x^a
+has g_k < a_k at every k in F, so F is standard iff every divisor is tight
+(g_k = a_k) at some position of F, that is, iff the tight divisors of F's
+positions together are all the divisors.  Each block keeps its faces as one
+integer bitset of 2^s bits (bit m for the face with mask m, s the support
+size), grouped by size with per-size bitsets.
+
+The standard faces are read bit-parallel.  Each face gets one field of W
+bits, W a multiple of 8 with room for the divisor bits and a guard bit on
+top.  The unions of tight divisors of all 2^s faces are built at once by
+doubling over the positions: the faces whose highest position is k are the
+faces below 2^k shifted up by 2^k fields, with k's tight divisors added, one
+multiply by a row of ones and one shift-or per position.  XOR with the
+divisors in every field leaves zero exactly in the standard faces' fields;
+with the guard bit set, subtracting 1 from every field borrows the guard away
+exactly there.  The top byte of each field, through one byte translation,
+spells the standard face bitset in binary.  The work and the memory are
+linear in 2^s * W, with no table kept per position.
 
 Ranks are taken on the critical faces of a one-vertex Morse matching
 (Jollenbeck-Welker, Mem. AMS 923, 2009).  The standard faces form an up-set,
@@ -47,9 +59,7 @@ component's own columns only.  One pass per code reads each rank e_k from
 its field, ANDs masks[k][e_k] into the divisors (starting from the
 component's generators, as no other generator divides its points), keeps
 masks[k][e_k - 1], the generators slack there, for a support position, and
-sums the degree.  Splitting the divisors position by position into the
-groups that share one slack mask gives the masks whose subsets are the
-non-standard faces.
+sums the degree.
 
 A lattice point a is the lcm of its divisors, which closes two cases
 without faces.  With one divisor, a is that generator, every position is
@@ -58,9 +68,10 @@ neither divides the other), a = lcm(g, h) leaves every position tight for g
 or for h, so their slack masks are disjoint and non-empty and K^a is two
 disjoint simplices: beta_2 = 1.
 
-One more kind of block is settled from its slack masks.  At a cone
-point one divisor is slack at every support position, so x^(a - 1_supp)
-lies in I, every face is non-standard and the block is zero.
+At a cone point one divisor is slack at every support position, so
+x^(a - 1_supp) lies in I and no face is standard; as the standard faces
+form an up-set, an empty standard face set is exactly a cone point, and
+such a block is zero.
 
 The critical faces C of the one-vertex matching are matched once more
 before any basis is built: for a support position w, pair each F in C
@@ -72,23 +83,27 @@ of one homological index it has no differential, and the block is its
 face count.  The first w that settles C answers; a C that no w settles is
 ranked.
 
-The other blocks repeat themselves, so one oracle call remembers two
-things: the answer of each (support size, slack-mask family), looked up
-before the down-closure, the matching and the ranks, and the homology of
-each (support size, critical faces), so that two families with the same
-critical faces still rank once.
+The other blocks repeat themselves, so one oracle call remembers the
+homology of the chain complex on each (support size, face bitset) it has
+met.  The standard faces are looked up before the matchings and the ranks,
+and the critical faces before the ranks, so that two blocks with the same
+critical faces still rank once; both are complexes on their own bitset,
+so the two kinds of key share one map.
 
 Each of these rules was timed by deleting it alone (2-vCPU VM, Python
-3.11).  Without the second matching the bench's oracle inputs took 254 ms
-against 222 ms; without the (s, faces) memo the 16-cycle took 1.1-1.2 s
-against 0.84 s, and without the family memo 0.89 s against 0.76 s.
+3.11, koszul_betti in process, the least of 20 passes, five runs each).  On
+the bench's 120 oracle inputs of seeds 1-3 a pass took 90-100 ms; without
+the second matching 105-110 ms, without the memo of standard face sets
+97-102 ms, and without the closed forms for one and two divisors
+100-108 ms.  Without the memo of critical face sets the 16-cycle took
+1.37-2.04 s against 0.89-1.50 s (best of 3 per run).
 """
 
 from __future__ import annotations
 
 import bisect
 import functools
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Sequence
 
 from .betti import BettiDiagram
 from .errors import CapExceeded, DomainError
@@ -145,14 +160,6 @@ def _face_tables(s: int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     )
 
 
-def _down_closure(faces: int, has: tuple[int, ...]) -> int:
-    """The face bitset `faces` closed under taking subsets: one shift-or per
-    support position drops that position from every face containing it."""
-    for pos, h in enumerate(has):
-        faces |= (faces & h) >> (1 << pos)
-    return faces
-
-
 def _critical_faces(std: int, ns: int, has: tuple[int, ...]) -> list[int]:
     """For each support position v, the critical faces of the matching that
     pairs each standard face F without v with F + v: the standard faces that
@@ -198,63 +205,63 @@ def _strand_homology(s: int, faces: int) -> dict[int, int]:
     return out
 
 
+@functools.cache
+def _field_tables(s: int, width: int) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """(steps, every, guard) for 2^s fields of `width` bits: steps[k] is
+    (ones at the low bit of the first 2^k fields, 2^k * width), every has
+    ones at the low bit of all 2^s fields and guard at their top bit."""
+    if not s:
+        return (), 1, 1 << width - 1
+    steps, ones, _ = _field_tables(s - 1, width)
+    shift = width << (s - 1)
+    every = ones | ones << shift
+    return steps + ((ones, shift),), every, every << width - 1
+
+
+# the top byte of a field: 0 for a standard face, 0x80 with its guard bit
+_DIGITS = bytes.maketrans(b"\x00\x80", b"10")
+
+
+def _standard_faces(divisors: int, below: list[int]) -> int:
+    """The standard faces of the block at a, as a face bitset, from the
+    divisors of x^a and the rows `below` of ``_block_betti``: F is standard
+    iff the tight divisors of its positions, divisors & ~below[k], cover the
+    divisors.  Read bit-parallel, one field of `width` bits per face, as the
+    module docstring describes."""
+    width = (divisors.bit_length() + 8) & ~7  # whole bytes: the divisor bits, then the guard bit
+    steps, every, guard = _field_tables(len(below), width)
+    tight = 0
+    for (ones, shift), row in zip(steps, below):
+        tight |= (tight | (divisors & ~row) * ones) << shift
+    nonstandard = (((divisors * every ^ tight) | guard) - every) & guard
+    # the top byte of each field, highest face first
+    tops = nonstandard.to_bytes(width // 8 << len(below), "big")[:: width // 8]
+    return int(tops.translate(_DIGITS), 2)
+
+
 def _block_betti(divisors: int, below: list[int], memo: dict[tuple[int, int], dict[int, int]]) -> dict[int, int]:
     """Homology dimensions of the Koszul strand at one multidegree a, from the
     bitmask `divisors` of the generators dividing x^a and, per support
     position k of a in order, the generators with g_k < a_k (`below`).
 
-    Returns {i: beta_{i,|a|}(S/I) contribution}.  A cone point is answered
-    from the masks; any other block is computed on the critical faces of
-    the one-vertex matching with the fewest of them (the lowest position on
-    ties), matched once more before any rank; with an empty support the
-    block keeps its faces.  `memo` maps (s, faces) to homology already
-    computed in this oracle call, and (s, ~family) to a family's answer:
-    face sets are non-negative and complemented families negative, so the
-    two kinds of key never meet.
+    Returns {i: beta_{i,|a|}(S/I) contribution}, computed on the critical
+    faces of the one-vertex matching with the fewest of them (the lowest
+    position on ties), matched once more before any rank; with an empty
+    support the block keeps its faces.  `memo` maps (s, faces) to the
+    homology of the chain complex on that face bitset, already computed in
+    this oracle call: standard and critical face sets share it.
     """
     s = len(below)
-    # a divisor slack at every position makes every face non-standard
-    cone = divisors
-    for row in below:
-        cone &= row
-    if cone:
-        return {}
-    # a face mask is non-standard iff it is a submask of some divisor's slack
-    # mask (bit pos set iff it leaves room at that position).  Splitting the
-    # divisors position by position into the groups with one slack mask sets
-    # each mask's bit of the family once; every divisor, x^a itself with no
-    # slack position too, makes the empty face (bit 0) non-standard
-    family = 0
-    stack = [(divisors, 0, 0)] if divisors else []
-    while stack:
-        group, mask, start = stack.pop()
-        for pos in range(start, s):
-            slack = group & below[pos]
-            if slack:
-                if slack != group:  # the rest of the group is tight here
-                    stack.append((group ^ slack, mask, pos + 1))
-                    group = slack
-                mask |= 1 << pos
-        family |= 1 << mask
-    key = s, ~family
-    if key not in memo:
-        memo[key] = _family_betti(s, family, memo)
-    return memo[key]
-
-
-def _family_betti(s: int, family: int, memo: dict[tuple[int, int], dict[int, int]]) -> dict[int, int]:
-    """``_block_betti`` from the bitset `family` of the distinct slack masks
-    (bit m for mask m) over an s-element support, none of them full."""
-    full, has, _ = _face_tables(s)
-    ns = _down_closure(family, has)
-    std = full & ~ns
-    faces = min(_critical_faces(std, ns, has), key=int.bit_count) if s else std
-    if not faces:
-        return {}
-    if (s, faces) not in memo:
-        settled = _second_matching(s, faces)
-        memo[s, faces] = _strand_homology(s, faces) if settled is None else settled
-    return memo[s, faces]
+    std = _standard_faces(divisors, below)
+    out = memo.get((s, std))
+    if out is None:
+        full, has, _ = _face_tables(s)
+        faces = min(_critical_faces(std, full & ~std, has), key=int.bit_count) if s else std
+        if (s, faces) not in memo:
+            settled = _second_matching(s, faces)
+            memo[s, faces] = _strand_homology(s, faces) if settled is None else settled
+        out = memo[s, std] = memo[s, faces]
+    return out
 
 
 def _second_matching(s: int, faces: int) -> dict[int, int] | None:
@@ -273,14 +280,6 @@ def _second_matching(s: int, faces: int) -> dict[int, int] | None:
     return None
 
 
-def _lattice_betti(divisors: int, below: list[int], memo: dict[tuple[int, int], dict[int, int]]) -> dict[int, int]:
-    """``_block_betti`` at a point a of the lcm lattice, with the closed forms
-    of the module docstring for one or two divisors; with none, a = 0 and the
-    empty face alone is standard.  Each leaves one class, in index 0, 1 or 2."""
-    count = divisors.bit_count()
-    return {count: 1} if count < 3 else _block_betti(divisors, below, memo)
-
-
 def _lcm_lattice(gens: Sequence[Sequence[int]], cap: int) -> tuple[int, set[int]]:
     """(width, codes): the lcms of all subsets of `gens`, the empty one (0)
     included, with each exponent e_k coded as e_k low bits of the k-th field
@@ -294,25 +293,6 @@ def _lcm_lattice(gens: Sequence[Sequence[int]], cap: int) -> tuple[int, set[int]
         if len(codes) > cap:
             raise CapExceeded(f"lcm lattice exceeds the cap of {cap} multidegrees; call koszul_betti(I, cap=...) to raise it")
     return width, codes
-
-
-def _lattice_points(codes: Iterable[int], width: int, columns: list, part: int) -> Iterator[tuple[int, list[int], int]]:
-    """For each code, (divisors, below) as ``_block_betti`` reads them and the
-    degree of the point.  `columns` holds (values[k], masks[k]) for the
-    code's fields in order, and `part` the generators that may divide it: one
-    pass reads each exponent rank e, ANDs masks[k][e] into the divisors and
-    keeps masks[k][e - 1] for a support position."""
-    field = (1 << width) - 1
-    for code in codes:
-        divisors, below, degree = part, [], 0
-        for vals, row in columns:
-            e = (code & field).bit_length()
-            code >>= width
-            divisors &= row[e]
-            if e:
-                below.append(row[e - 1])
-                degree += vals[e]
-        yield divisors, below, degree
 
 
 def _components(masks: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -357,9 +337,22 @@ def koszul_betti(I: MonomialIdeal, cap: int = DEFAULT_LATTICE_CAP) -> BettiDiagr
     memo: dict[tuple[int, int], dict[int, int]] = {}
     factors = []  # S/I-indexed: (i, j) -> beta_{i,j}(S/I_k)
     for part, columns, width, codes in lattices:
+        field = (1 << width) - 1
         factor: dict[tuple[int, int], int] = {}  # a = 0 gives the constant term
-        for divisors, below, j in _lattice_points(codes, width, columns, part):
-            for i, v in _lattice_betti(divisors, below, memo).items():
+        for code in codes:
+            # one pass reads each exponent rank e of the code's fields in
+            # order, ANDs masks[k][e] into the divisors and keeps
+            # masks[k][e - 1] for a support position
+            divisors, below, j = part, [], 0
+            for vals, row in columns:
+                e = (code & field).bit_length()
+                code >>= width
+                divisors &= row[e]
+                if e:
+                    below.append(row[e - 1])
+                    j += vals[e]
+            count = divisors.bit_count()  # up to two, the closed forms; none only at a = 0
+            for i, v in ({count: 1} if count < 3 else _block_betti(divisors, below, memo)).items():
                 if i == 0 and j:
                     raise AssertionError(f"unexpected homology at homological index 0, degree {j}")
                 factor[(i, j)] = factor.get((i, j), 0) + v

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from dreglex.betti import (
+    MAX_TABLE_ROWS,
     BettiDiagram,
     _m_le_counts,
     ahh_betti,
@@ -260,6 +261,18 @@ class TestOutput:
         I = ideal(R5, "x1^2", "x1*x2", "x1*x3", "x1*x4", "x2^2", "x2*x3^3", "x3^4")
         table = ek_betti(I).format_table()
         assert "3: - - - -\n" in table
+
+    def test_table_row_bound(self):
+        """Rows 2..MAX_TABLE_ROWS + 1 print, one row more is refused before
+        any row is built."""
+        def diagram(e):  # (x1^e, x2^2)
+            return BettiDiagram(2, {(0, 2): 1, (0, e): 1, (1, e + 2): 1})
+
+        assert diagram(MAX_TABLE_ROWS).format_table().count("\n") == MAX_TABLE_ROWS + 1
+        past = diagram(MAX_TABLE_ROWS + 1)
+        with pytest.raises(DomainError, match=f"the Betti table has {MAX_TABLE_ROWS + 1} rows, more than {MAX_TABLE_ROWS}"):
+            past.format_table()
+        assert len(past.format_triples().splitlines()) == 3
 
     def test_triples_sorted(self):
         D = ek_betti(LEX5)

@@ -91,6 +91,16 @@ class TestBetti:
         assert payload["entries"] == [[0, 2, 2], [1, 4, 1]]
         assert payload["regularity"] == 3
 
+    def test_table_too_tall_points_to_triples(self, capsys):
+        # the table would have a row for each k in 2..3*10^12; the entries
+        # are three, and --triples prints them at once
+        gens = "x1^2999999999999,x2^2"
+        code, out, err = run(capsys, "betti", "--gens", gens, "-n", "2")
+        assert (code, out) == (1, "")
+        assert err == "error: the Betti table has 2999999999999 rows, more than 100000; print its entries with --triples\n"
+        code, out, _ = run(capsys, "betti", "--triples", "--gens", gens, "-n", "2")
+        assert (code, out) == (0, "(0, 2, 1)\n(0, 2999999999999, 1)\n(1, 3000000000001, 1)\n")
+
 
 class TestHilb:
     def test_single_degree(self, capsys, running):

@@ -7,6 +7,7 @@ import itertools
 import math
 import operator
 import random
+import tracemalloc
 
 import pytest
 
@@ -18,12 +19,10 @@ from dreglex.koszul import (
     _block_betti,
     _components,
     _critical_faces,
-    _down_closure,
     _face_tables,
-    _lattice_betti,
-    _lattice_points,
     _lcm_lattice,
     _second_matching,
+    _standard_faces,
     _strand_homology,
     exact_rank,
     koszul_betti,
@@ -348,28 +347,54 @@ def decode(width, codes, n):
 
 
 def walk(gens, points, past=0):
-    """(a, (divisors, below, degree)) for each point a, read by
-    ``_lattice_points`` from the uncompressed index of `gens` (ranks are the
-    exponents), its rows extended by `past` copies of the top entry so that
-    points up to `past` above the top exponent can be coded."""
+    """(a, (divisors, below, degree)) for each point a, as koszul_betti's
+    walk reads them off the index, here the uncompressed index of `gens`
+    (ranks are the exponents), its rows extended by `past` copies of the top
+    entry so that points up to `past` above the top exponent can be read."""
     masks = [row + row[-1:] * past for row in _threshold_masks(gens)]
-    width = max(map(len, masks))
-    codes = [sum(((1 << e) - 1) << k * width for k, e in enumerate(a)) for a in points]
-    columns = [(range(len(row)), row) for row in masks]
-    return list(zip(points, _lattice_points(codes, width, columns, (1 << len(gens)) - 1)))
+    out = []
+    for a in points:
+        divisors, below = (1 << len(gens)) - 1, []
+        for e, row in zip(a, masks):
+            divisors &= row[e]
+            if e:
+                below.append(row[e - 1])
+        out.append((a, (divisors, below, sum(a))))
+    return out
+
+
+def standard_by_definition(divisors, below):
+    """The standard faces as a face bitset, one face at a time: F is
+    standard iff every divisor is tight (outside below[k]) at some k in F."""
+    s = len(below)
+    std = 0
+    for m in range(1 << s):
+        tight = 0
+        for k in range(s):
+            if m >> k & 1:
+                tight |= divisors & ~below[k]
+        if tight == divisors:
+            std |= 1 << m
+    return std
+
+
+def down_closure(masks, s):
+    """The face bitset of every submask of the masks over an s-element
+    support."""
+    return sum(1 << m for m in range(1 << s) if any(not m & ~sl for sl in masks))
 
 
 @pytest.fixture
-def closures(monkeypatch):
-    """The face bitsets passed to ``_down_closure``, recorded through its
+def standard(monkeypatch):
+    """The face bitsets returned by ``_standard_faces``, recorded through its
     module global."""
     calls = []
 
-    def counting(faces, has):
-        calls.append(faces)
-        return _down_closure(faces, has)
+    def recording(divisors, below):
+        calls.append(_standard_faces(divisors, below))
+        return calls[-1]
 
-    monkeypatch.setattr(dreglex.koszul, "_down_closure", counting)
+    monkeypatch.setattr(dreglex.koszul, "_standard_faces", recording)
     return calls
 
 
@@ -385,22 +410,33 @@ class TestBlockBitsets:
                 for i in range(s + 1):
                     assert by_size[i] >> m & 1 == (bin(m).count("1") == i)
 
-    def test_down_closure_is_all_submasks(self):
+    def test_standard_faces_match_definition(self):
+        """Random divisors and rows over s = 0..10 positions.  The divisors'
+        top bit sits just below or just past a byte boundary (bit lengths 7,
+        8, 15, 16 and 23: fields of one, two and three bytes), and the rows
+        also hold generators outside the divisors.  One divisor in every row
+        is slack everywhere: a cone point, no standard face."""
         rng = random.Random(101)
+        seen = collections.Counter()
         for s in range(11):
-            _, has, _ = _face_tables(s)
-            for _ in range(8):
-                masks = [rng.randrange(1 << s) for _ in range(rng.randint(1, 5))]
-                closed = _down_closure(sum(1 << m for m in set(masks)), has)
-                expected = sum(1 << m for m in range(1 << s) if any(not m & ~sl for sl in masks))
-                assert closed == expected, (s, masks)
+            for _ in range(12):
+                bits = rng.choice((7, 8, 15, 16, 23))
+                divisors = rng.getrandbits(bits) | 1 << bits - 1
+                below = [rng.getrandbits(bits + 2) for _ in range(s)]
+                if rng.random() < 0.2:
+                    cone = 1 << rng.choice([i for i in range(bits) if divisors >> i & 1])
+                    below = [row | cone for row in below]
+                std = _standard_faces(divisors, below)
+                assert std == standard_by_definition(divisors, below), (divisors, below)
+                seen[(divisors.bit_length() + 8) // 8, std == 0] += 1
+        assert min(seen[fields, cone] for fields in (1, 2, 3) for cone in (False, True)) >= 5, seen
 
-    def test_block_betti_matches_slack_scan(self, closures):
+    def test_block_betti_matches_slack_scan(self, standard):
         """Blocks in 5-10 variables, at every lcm-lattice point and at random
         points of the box below lcm + 1; off the lattice a block is exact.
         The box-scan and Hochster cross-checks stop at 4 and 5 variables, so
-        only this test reaches support positions past 4.  Cone points are
-        answered without a down-closure, and they occur."""
+        only this test reaches support positions past 4.  Exactly the cone
+        points have no standard face, and they occur."""
         cones = 0
         rng = random.Random(103)
         widest = 0
@@ -415,15 +451,14 @@ class TestBlockBitsets:
             off = [tuple(rng.randint(0, t) for t in top) for _ in range(10)]
             memo = {}
             for a, (divisors, below, _) in walk(gens, sorted(lattice) + off, past=1):
-                before = len(closures)
                 got = _block_betti(divisors, below, memo)
                 assert got == slack_scan_block_betti(gens, a), (I, a)
                 if a not in lattice:
                     assert got == {}, (I, a)
                 widest = max(widest, sum(1 for e in a if e))
-                if (1 << len(below)) - 1 in slack_masks(gens, a):
-                    cones += 1
-                    assert len(closures) == before, (I, a)
+                cone = (1 << len(below)) - 1 in slack_masks(gens, a)
+                cones += cone
+                assert (standard[-1] == 0) == cone, (I, a)
         assert widest >= 9
         assert cones >= 1
 
@@ -436,8 +471,7 @@ class TestBlockBitsets:
         for s in range(9):
             full, has, _ = _face_tables(s)
             sets = [0, 1] + [
-                _down_closure(sum(1 << rng.randrange(1 << s) for _ in range(rng.randint(2, 6))), has)
-                for _ in range(20)
+                down_closure([rng.randrange(1 << s) for _ in range(rng.randint(2, 6))], s) for _ in range(20)
             ]
             for ns in sets:
                 std = full & ~ns
@@ -452,7 +486,8 @@ class TestBlockBitsets:
 
     def test_closed_forms_match_slack_scan(self):
         """Every lattice point with at most two divisors, n <= 8: the answer
-        ``_lattice_betti`` gives without face bitsets against the slack scan."""
+        koszul_betti gives there without a block, {count: 1}, against the
+        block and the slack scan."""
         rng = random.Random(131)
         seen = collections.Counter()
         for _ in range(60):
@@ -464,7 +499,7 @@ class TestBlockBitsets:
             for a, (divisors, below, _) in walk(gens, sorted(decode(*_lcm_lattice(gens, 10**4), n))):
                 count = divisors.bit_count()
                 if count < 3:
-                    assert _lattice_betti(divisors, below, {}) == slack_scan_block_betti(gens, a) == {count: 1}, (I, a)
+                    assert _block_betti(divisors, below, {}) == slack_scan_block_betti(gens, a) == {count: 1}, (I, a)
                     seen[count] += 1
         assert seen[1] >= 100 and seen[2] >= 100, seen
 
@@ -476,7 +511,7 @@ class TestBlockBitsets:
         gens = tuple(g.exponents for g in I.gens)
         [(a, (divisors, below, _))] = walk(gens, [(1, 1, 1)])
         assert divisors.bit_count() == 3 and sorted(slack_masks(gens, a)) == [1, 2, 4]
-        assert _lattice_betti(divisors, below, {}) == slack_scan_block_betti(gens, a) == {2: 2}
+        assert _block_betti(divisors, below, {}) == slack_scan_block_betti(gens, a) == {2: 2}
         assert koszul_betti(I).entries == {(0, 2): 3, (1, 3): 2}
 
     @pytest.mark.parametrize(
@@ -499,7 +534,7 @@ class TestBlockBitsets:
         a = (1,) * n
         [(_, (divisors, below, _))] = walk(exps, [a])
         assert sorted(slack_masks(exps, a)) == masks
-        assert _lattice_betti(divisors, below, {}) == slack_scan_block_betti(exps, a) == expected
+        assert _block_betti(divisors, below, {}) == slack_scan_block_betti(exps, a) == expected
         top = {(i, j): v for (i, j), v in koszul_betti(I).entries.items() if j == n}
         assert top == {(i - 1, n): v for i, v in expected.items()}
 
@@ -682,15 +717,15 @@ class TestComponents:
         assert sorted(_components(_threshold_masks(gens))) == [0b00101, 0b11010]
 
     def test_complete_intersection_in_22_variables(self, monkeypatch):
-        """(x1*...*x11, x12*...*x22): two blocks of 11 support positions,
-        not one of 22."""
+        """(x1*...*x11, x12*...*x22): two lattices over 11 variables, whose
+        points have up to 11 support positions, not one over 22."""
         widths = []
 
-        def recording(divisors, below, memo):
-            widths.append(len(below))
-            return _lattice_betti(divisors, below, memo)
+        def recording(gens, cap):
+            widths.append(len(gens[0]))
+            return _lcm_lattice(gens, cap)
 
-        monkeypatch.setattr(dreglex.koszul, "_lattice_betti", recording)
+        monkeypatch.setattr(dreglex.koszul, "_lcm_lattice", recording)
         I = MonomialIdeal(GroundRing(22), [Monomial((1,) * 11 + (0,) * 11), Monomial((0,) * 11 + (1,) * 11)])
         assert koszul_betti(I).entries == {(0, 11): 2, (1, 22): 1}
         assert max(widths) == 11
@@ -715,7 +750,7 @@ class TestWorkPinned:
     the one-vertex matching that ranks only the critical faces, with each
     distinct critical face set ranked once per oracle call; the points with
     one or two divisors and the cone points are answered without ranks, a
-    repeated slack-mask family is answered from the memo, and a critical
+    repeated standard face set is answered from the memo, and a critical
     face set that a second single-vertex matching leaves empty or of one
     size is counted.  Without the second matching the same runs read 45/301
     and 11/16.
@@ -761,7 +796,7 @@ class TestWorkPinned:
         gens = tuple(g.exponents for g in I.gens)
         monkeypatch.setattr(dreglex.koszul, "_strand_homology", counting)
         for _, (divisors, below, _) in walk(gens, decode(*_lcm_lattice(gens, 10**4), 8)):
-            _lattice_betti(divisors, below, {})
+            _block_betti(divisors, below, {})
         blocks = len(seen)
         seen.clear()
         koszul_betti(I)
@@ -788,6 +823,27 @@ def test_fourteen_cycle_known_answer():
         (3, 8): 35, (4, 8): 294, (4, 9): 140, (5, 9): 98, (5, 10): 210, (6, 11): 140, (7, 12): 35,
         (8, 14): 1,
     }
+
+
+def test_wide_support_in_small_memory():
+    """x1*...*x6, x6*...*x11, x11*...*x16: the top lattice point is one block
+    of 16 support positions.  Its standard faces take two fields' worth of
+    integers of 2^16 bytes, built by doubling over the positions; tables of
+    2^16 fields kept for every position took about twice the peak allowed
+    here, and grow past 50 MiB at 19 variables.  The face tables are rebuilt
+    inside the measurement, so the bound holds whatever ran before."""
+    n = 16
+    I = MonomialIdeal(GroundRing(n), [Monomial(tuple(int(lo <= i < lo + 6) for i in range(n))) for lo in (0, 5, 10)])
+    dreglex.koszul._face_tables.cache_clear()
+    dreglex.koszul._field_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        D = koszul_betti(I)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert D.entries == {(0, 6): 3, (1, 11): 2, (1, 12): 1, (2, 16): 1}
+    assert peak < 2.5 * 2**20, peak
 
 
 def test_projective_plane_is_answered_in_characteristic_zero():
